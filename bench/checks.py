@@ -18,8 +18,9 @@ ORACLE_RTOL = 1e-9
 # The reported final objective against a dense evaluation at the returned state.
 DENSE_RTOL = 1e-9
 # Decoupled rows against the extended-precision reference.  Rows computed
-# without dropped modes agree to 5e-6 or better; rows that lose modes in the
-# pseudo-inverse square root are 26% to 94% low.
+# without dropped modes agree to 5.2e-6 or better; rows that lose modes in the
+# pseudo-inverse square root are 21% to 76% low at N <= 16 and 11% to 99%
+# low at N = 32.
 DECOUPLED_RTOL = 1e-4
 # Closed forms recomputed here in double precision.  Gains that cancel to
 # roundoff (IgnoreMC at corner, d = 0.5, reads about 1e-27) are compared
@@ -95,10 +96,10 @@ def monotone(trace: np.ndarray) -> str | None:
 
 def traces_agree(fast: np.ndarray, dense: np.ndarray) -> str | None:
     """C06: the rank-one trace follows the dense-reinversion trace to 1e-9."""
-    m = min(fast.size, dense.size)
-    dev = np.abs(fast[:m] - dense[:m]) / np.maximum(np.abs(dense[:m]), 1e-300)
-    worst = max(float(dev.max()), abs(fast[-1] - dense[-1]) / abs(dense[-1]))
-    if worst > ORACLE_RTOL or not np.allclose(fast[:m], dense[:m], rtol=ORACLE_RTOL):
+    if fast.size != dense.size:
+        return f"rank-one and dense traces have {fast.size} and {dense.size} entries"
+    worst = float(np.max(np.abs(fast - dense) / np.maximum(np.abs(dense), 1e-300)))
+    if worst > ORACLE_RTOL:
         return f"rank-one and dense traces differ by {worst:.1e} relative (C06 allows 1e-9)"
     return None
 

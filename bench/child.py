@@ -24,6 +24,11 @@ def _now() -> float:
     return time.clock_gettime(time.CLOCK_MONOTONIC)
 
 
+# Later rounds are compared with the first, and wall_s is a median of rounds,
+# so every measuring process runs at least this many.
+MIN_ROUNDS = 3
+
+
 class Rounds:
     """Runs whole rounds of a workload's operations and keeps what the checks need."""
 
@@ -33,14 +38,14 @@ class Rounds:
         self.snaps = []             # every round's outputs reduced to exact values
 
     def run(self, limit: float, tracer=None) -> tuple[list[float], list[dict]]:
-        """Whole rounds for up to limit seconds of solve time, at least one.
+        """Whole rounds for up to limit seconds of solve time, at least MIN_ROUNDS.
 
-        A round starts only if, at the length of the last one, it ends within
-        the limit.  Returns each round's solve time and, with a tracer, each
-        round's per-layer metrics.
+        Beyond those, a round starts only if, at the length of the last one,
+        it ends within the limit.  Returns each round's solve time and, with
+        a tracer, each round's per-layer metrics.
         """
         times, layers = [], []
-        while not times or sum(times) + times[-1] <= limit:
+        while len(times) < MIN_ROUNDS or sum(times) + times[-1] <= limit:
             if self.inputs.workload == "figures":
                 for f in self.workloads.OUT_DIR.glob("*.csv"):
                     f.unlink()

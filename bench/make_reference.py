@@ -1,6 +1,6 @@
 """Write the extended-precision Decoupled reference that the figures checks read.
 
-For every Decoupled row with N <= 16 of the figures workload, evaluate the
+For every Decoupled row with N <= 32 of the figures workload, evaluate the
 array-gain formula of the decoupled closed form,
 
     A = 1/4 (|a_DR^T C^{-1} a_RS| + sum_n |a_DR^T C^{-1/2} e_n| |e_n^T C^{-1/2} a_RS|)^2,
@@ -9,7 +9,7 @@ with C = sinc(2 pi d |i - j|) + gamma I, in mpmath at DIGITS significant
 digits, and again at CHECK_DIGITS to show the stored digits are settled.
 Inputs are taken as the exact binary values of the row's doubles, so the
 reference is the exact formula at the program's own inputs.  cond(C) reaches
-about 1e33 at N = 16, d = 0.05; DIGITS leaves a margin of more than 40 digits.
+about 1.8e68 at N = 32, d = 0.05; DIGITS leaves a margin of more than 70 digits.
 
 Run from the repository root:
 
@@ -31,9 +31,9 @@ from riscoupling.experiments import parse_config  # noqa: E402  (row geometry on
 
 from workloads import figure_configs  # noqa: E402
 
-DIGITS = 80
-CHECK_DIGITS = 120
-MAX_N = 16
+DIGITS = 140
+CHECK_DIGITS = 200
+MAX_N = 32
 OUT = BENCH / "data" / "decoupled_reference.json"
 
 

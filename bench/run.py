@@ -28,9 +28,11 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 WORKLOADS = ("figures", "ew_random", "ew_large_n", "se_mimo")
 # Each Python process runs at its own speed (hash seed, memory layout), so
-# solve time is the median over several processes rather than one.
-MEASURING_PROCESSES = 4
-SETUP_PROBES = 2
+# solve time is the median over several processes rather than one.  Two
+# processes of half the run each leave room for three rounds of the longest
+# workload in each.
+MEASURING_PROCESSES = 2
+SETUP_PROBES = 3
 CHILD_TIMEOUT_S = 170.0
 
 

@@ -36,10 +36,15 @@ def test_decoupled_row_off_by_1e3_is_rejected():
     assert verify._check_closed_form("Decoupled", s, [(-1, off, ())], ref) is not None
 
 
-def test_reference_holds_the_80_digit_end_fire_value():
+def test_reference_holds_the_extended_precision_end_fire_value():
     ref = verify.load_reference()
     gain = ref[(8, 0.05, 0.0, np.pi, 0.0)]
     assert abs(gain - 4029.58318343) < 1e-6
+
+
+def test_decoupled_row_without_reference_is_rejected():
+    s = Scenario(n=64, spacing=0.25, alpha_tx=0.0, alpha_rx=np.pi)
+    assert verify._check_closed_form("Decoupled", s, [(-1, 1e4, ())], verify.load_reference()) is not None
 
 
 def test_trace_dip_beyond_c07_slack_is_rejected():
@@ -60,6 +65,13 @@ def test_rank_one_and_dense_traces_1e8_apart_are_rejected():
     fast = dense.copy()
     fast[17] *= 1 + 1e-8
     assert checks.traces_agree(fast, dense) is not None
+
+
+def test_traces_of_different_lengths_are_rejected():
+    dense = np.linspace(1.0, 3.0, 40)
+    longer = np.append(dense, dense[-1])
+    assert checks.traces_agree(longer, dense) is not None
+    assert checks.traces_agree(dense[:-1], dense) is not None
 
 
 def test_final_gain_not_matching_its_reactances_is_rejected(converged_run):

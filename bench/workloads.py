@@ -41,10 +41,10 @@ OUT_DIR = ROOT / ".bench_out"
 WORKLOADS = ("figures", "ew_random", "ew_large_n", "se_mimo")
 
 # Recorded generator seeds.  ew_random draws from the C07 scenario
-# distribution with a seed the acceptance tests do not use; its draw 7
-# breaks C06 (see README).
+# distribution with a seed the acceptance tests do not use; its draw 7, the
+# last one taken, breaks C06 (see README).
 EW_RANDOM_SEED = 1
-EW_RANDOM_DRAWS = 13
+EW_RANDOM_DRAWS = 8
 EW_LARGE_SEED = 14
 EW_LARGE_DRAWS = 3
 SE_SEED = 8
