@@ -14,6 +14,7 @@ from .channel import (
     build_los_scenario,
     channel_gain,
     evaluate_channel,
+    steering_vector,
 )
 from .elementwise import (
     SISO_GAIN,
@@ -58,42 +59,41 @@ def naive_elementwise(ch: ImpedanceChannel, x0: RisState,
     return coordinate_ascent(ch, x0, cfg, _reinvert_update)
 
 
-def grid_search_phase(eff: EffectiveChannel, points_per_element: int | None = None) -> float:
+def grid_search_phase(eff: EffectiveChannel) -> float:
     """Exhaustive SISO gain maximum over a uniform per-element phase grid.
 
     Lower bound on the true optimum within grid resolution.  Refused for
-    N > 3 (the grid is exponential in N).  Defaults: 3600 points for N = 1,
-    72 otherwise.
+    N > 3 (the grid is exponential in N).  The grid has 3600 points per
+    element for N = 1, 72 otherwise.
     """
     n = eff.n
     if n > 3:
         raise InvalidArgumentError(f"full phase grid refused for N = {n} > 3")
     if eff.z_ds.shape != (1, 1):
         raise InvalidArgumentError("grid search is SISO only")
-    if points_per_element is None:
-        points_per_element = 3600 if n == 1 else 72
+    points = 3600 if n == 1 else 72
     zdr = eff.z_dr_eff[0, :]
     zrs = eff.z_rs_eff[:, 0]
     prod = zdr * zrs / (2.0 * eff.R)
     direct = complex(eff.z_ds[0, 0]) - prod.sum()
-    phases = np.exp(2j * np.pi * np.arange(points_per_element) / points_per_element)
-    z = np.full((points_per_element,) * n, direct, dtype=complex)
+    phases = np.exp(2j * np.pi * np.arange(points) / points)
+    z = np.full((points,) * n, direct, dtype=complex)
     for i in range(n):
         shape = [1] * n
-        shape[i] = points_per_element
+        shape[i] = points
         z = z + prod[i] * phases.reshape(shape)
     return float(np.max(np.abs(z) ** 2))
 
 
-def _single_element_gain(s: Scenario) -> float:
-    # Normalization constant of the array gain: SISO gain of one lossless element.
+def single_element_gain(s: Scenario) -> float:
+    """Normalization constant of the array gain: SISO gain of one lossless element."""
     return s.gamma_dr * s.gamma_rs * s.R**2
 
 
 def no_coupling_gain(s: Scenario) -> float:
     """Array gain of the purely theoretical model with Z_R = R I (no coupling, no loss)."""
-    a_dr = np.exp(-1j * np.arange(s.n) * 2 * np.pi * s.spacing * np.cos(s.alpha_rx))
-    a_rs = np.exp(-1j * np.arange(s.n) * 2 * np.pi * s.spacing * np.cos(s.alpha_tx))
+    a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
+    a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
     return float(abs(a_dr @ a_rs) + s.n) ** 2 / 4.0
 
 
@@ -102,4 +102,4 @@ def ignore_mc_gain(s: Scenario) -> float:
     applied blindly to the true coupled channel."""
     ch = build_los_scenario(s)
     z = evaluate_channel(ch, RisState.zeros(s.n))
-    return channel_gain(z) / _single_element_gain(s)
+    return channel_gain(z) / single_element_gain(s)

@@ -182,22 +182,33 @@ def loading_matrix(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     return ch.z_r + 1j * np.diag(state.x)
 
 
-def _checked_solve(z_load: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(z_load, 1)
+def checked_inverse(z_load: np.ndarray) -> np.ndarray:
+    """Inverse of a loading matrix, refused above CONDITION_LIMIT.
+
+    The 1-norm condition number ||A||_1 ||A^{-1}||_1 comes from this one
+    inverse; an exactly singular matrix counts as infinitely ill-conditioned.
+    """
+    try:
+        z_inv = np.linalg.inv(z_load)
+        cond = np.linalg.norm(z_load, 1) * np.linalg.norm(z_inv, 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NumericallySingularError(
             f"loading matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
             condition=cond,
         )
-    return np.linalg.solve(z_load, rhs)
+    return z_inv
 
 
 def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     """End-to-end impedance channel Z = Z_DS - Z_DR (Z_R + j diag(x))^{-1} Z_RS."""
     if state.n != ch.n:
         raise InvalidArgumentError("state length does not match channel")
-    sol = _checked_solve(loading_matrix(ch, state), ch.z_rs)
-    return ch.z_ds - ch.z_dr @ sol
+    z_load = loading_matrix(ch, state)
+    checked_inverse(z_load)
+    # the inverse certifies the conditioning; the channel keeps its linear solve
+    return ch.z_ds - ch.z_dr @ np.linalg.solve(z_load, ch.z_rs)
 
 
 def voltage_transfer(z: np.ndarray, R: float) -> np.ndarray:

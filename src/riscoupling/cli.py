@@ -45,7 +45,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    records = run_sweep(spec, threads=args.threads, trace_elements=args.trace_elements)
+    records = run_sweep(spec, trace_elements=args.trace_elements)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / spec.output
@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a sweep config")
     run_p.add_argument("--config", required=True, help="path to a .cfg sweep spec")
     run_p.add_argument("--out", default=".", help="output directory for the CSV")
-    run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--trace-elements", action="store_true",
                        help="log every trace entry (element updates and acceleration steps)")
     run_p.add_argument("--strict", action="store_true",

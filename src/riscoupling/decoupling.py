@@ -24,7 +24,7 @@ from .channel import (
     psd_sqrt,
     steering_vector,
 )
-from .elementwise import X_MAX
+from .elementwise import PI_DEAD_ZONE, X_MAX
 from .errors import InvalidArgumentError, SingularLoadError
 
 # Below this element spacing the normalized coupling matrix is so close to
@@ -145,18 +145,18 @@ def evaluate_effective(eff: EffectiveChannel, x: np.ndarray) -> np.ndarray:
     return eff.z_ds - (eff.z_dr_eff / diag[None, :]) @ eff.z_rs_eff
 
 
-def theta_to_reactance(theta: np.ndarray, R: float, x_max: float = X_MAX) -> np.ndarray:
+def theta_to_reactance(theta: np.ndarray, R: float) -> np.ndarray:
     """Invert the reflection map theta = (j x - R)/(j x + R).
 
-    x = R / tan(arg(theta)/2); theta = -1 maps to x = 0, theta = +1 (the
-    open-circuit limit) saturates at x_max.
+    x = R / tan(arg(theta)/2); phases within PI_DEAD_ZONE of pi (theta near -1)
+    map to x = 0, theta = +1 (the open-circuit limit) saturates at X_MAX.
     """
     phi = np.angle(np.asarray(theta, dtype=complex))
     with np.errstate(divide="ignore"):
         x = R / np.tan(phi / 2.0)
-    x = np.where(np.isclose(np.abs(phi), np.pi, atol=1e-15), 0.0, x)
-    x = np.where(np.isfinite(x), x, x_max)
-    return np.clip(x, -x_max, x_max)
+    x = np.where(np.pi - np.abs(phi) <= PI_DEAD_ZONE, 0.0, x)
+    x = np.where(np.isfinite(x), x, X_MAX)
+    return np.clip(x, -X_MAX, X_MAX)
 
 
 def reactance_to_theta(x: np.ndarray, R: float) -> np.ndarray:

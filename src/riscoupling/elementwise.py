@@ -20,10 +20,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import (
-    CONDITION_LIMIT,
     ImpedanceChannel,
     RisState,
     channel_gain,
+    checked_inverse,
     loading_matrix,
     spectral_efficiency,
 )
@@ -36,6 +36,10 @@ from .errors import (
 
 # Reactance clamp used when the phase-to-reactance map hits its pole.
 X_MAX = 1e9
+
+# Phases within this distance of pi (theta at or near -1) map to a zero
+# reactance or reactance step: 1e-15 absolute plus 1e-5 relative to pi.
+PI_DEAD_ZONE = 1e-15 + 1e-5 * math.pi
 
 # Acceleration of the SISO sweep.  It engages once coordinate ascent has spent
 # ACCEL_WINDOW consecutive sweeps in slow geometric convergence, each sweep
@@ -57,7 +61,6 @@ class OptimizerConfig:
     tol: float = 1e-10
     refactor_every: int = 10
     objective: str = SISO_GAIN
-    x_max: float = X_MAX
 
     def __post_init__(self):
         if self.max_sweeps < 1 or self.refactor_every < 1:
@@ -99,14 +102,7 @@ class ThetaResult(NamedTuple):
 
 def init_context(ch: ImpedanceChannel, state: RisState) -> RankOneContext:
     """Dense-inverse initialization of the update cache."""
-    z_load = loading_matrix(ch, state)
-    cond = np.linalg.cond(z_load, 1)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise NumericallySingularError(
-            f"loading matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
-            condition=cond,
-        )
-    z_inv = np.linalg.inv(z_load)
+    z_inv = checked_inverse(loading_matrix(ch, state))
     z_bar = ch.z_ds - ch.z_dr @ z_inv @ ch.z_rs
     return RankOneContext(ch=ch, z_inv=z_inv, z_bar=z_bar, x=state.x.copy())
 
@@ -168,22 +164,22 @@ def optimal_theta_se(a_mat: np.ndarray, f: np.ndarray) -> ThetaResult:
     return ThetaResult(complex(theta), float(se), False)
 
 
-def theta_to_delta_x(theta: complex, g: complex, x_max: float = X_MAX) -> tuple[float, bool]:
+def theta_to_delta_x(theta: complex, g: complex) -> tuple[float, bool]:
     """Recover the reactance step from the optimal phase.
 
-    Returns (delta_x, saturated).  theta = -1 maps to delta_x = 0 exactly (the
-    update leaves the channel unchanged); a vanishing denominator means the
-    optimum sits at the open-circuit limit and is clamped to +-x_max.
+    Returns (delta_x, saturated).  Phases within PI_DEAD_ZONE of pi (theta near
+    -1) map to delta_x = 0, leaving the channel unchanged; a vanishing denominator
+    means the optimum sits at the open-circuit limit and is clamped to +-X_MAX.
     """
     phi = float(np.angle(theta))
-    if np.isclose(abs(phi), np.pi, atol=1e-15):
+    if math.pi - abs(phi) <= PI_DEAD_ZONE:
         return 0.0, False
     denom = g.real * math.tan(phi / 2.0) + g.imag
     if denom == 0.0:
-        return x_max, True
+        return X_MAX, True
     dx = 1.0 / denom
-    if abs(dx) > x_max:
-        return math.copysign(x_max, dx), True
+    if abs(dx) > X_MAX:
+        return math.copysign(X_MAX, dx), True
     return dx, False
 
 
@@ -295,8 +291,7 @@ class _SisoAccelerator:
     kept only if it does not lower the objective, so the trace stays monotone.
     """
 
-    def __init__(self, x_max: float):
-        self.x_max = x_max
+    def __init__(self):
         self.radius: float | None = None     # trust radius in y, set on engaging
         self.slow_sweeps = 0
         self.last_y: np.ndarray | None = None
@@ -310,7 +305,7 @@ class _SisoAccelerator:
         return jac * grad, hess_y
 
     def _context(self, ch: ImpedanceChannel, y: np.ndarray) -> RankOneContext:
-        x = np.clip(ch.R * np.tan(y), -self.x_max, self.x_max)
+        x = np.clip(ch.R * np.tan(y), -X_MAX, X_MAX)
         return init_context(ch, RisState(x))
 
     def _to_crest(self, ctx: RankOneContext, y: np.ndarray) -> tuple[np.ndarray, RankOneContext]:
@@ -380,7 +375,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
     obj = _objective(cfg, ctx.z_bar)
     trace = [obj]
     sweep_ends = []
-    accelerate = _SisoAccelerator(cfg.x_max) if cfg.objective == SISO_GAIN else None
+    accelerate = _SisoAccelerator() if cfg.objective == SISO_GAIN else None
     saturations = 0
     converged = False
     sweeps = 0
@@ -399,7 +394,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
             if res.no_effect:
                 trace.append(obj)
                 continue
-            dx, saturated = theta_to_delta_x(res.theta, p.g, cfg.x_max)
+            dx, saturated = theta_to_delta_x(res.theta, p.g)
             saturations += int(saturated)
             update(ctx, n, dx)
             obj = _objective(cfg, ctx.z_bar)

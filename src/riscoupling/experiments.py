@@ -2,14 +2,13 @@
 
 A sweep spec is the Cartesian product of its axes (N, spacing, gamma_loss,
 angle pairs); every (scenario, method) pair yields one record, iterative
-methods one record per sweep.  Output is deterministic: records are sorted
-before writing regardless of worker scheduling.
+methods one record per sweep.  Records are sorted, which fixes the order of
+the CSV rows.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .baselines import (
     ignore_mc_gain,
     naive_elementwise,
     no_coupling_gain,
+    single_element_gain,
 )
 from .channel import RisState, Scenario, build_los_scenario
 from .decoupling import array_gain, effective_channel
@@ -191,10 +191,6 @@ def parse_config(text: str) -> SweepSpec:
     )
 
 
-def _norm(s: Scenario) -> float:
-    return s.gamma_dr * s.gamma_rs * s.R**2
-
-
 def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
                 trace_elements: bool) -> list[SweepRecord]:
     def record(sweep_index, gain, elapsed, flags=()):
@@ -216,7 +212,7 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
             return [record(-1, ignore_mc_gain(s), time.perf_counter() - t0)]
         if method is MethodId.GRID_ORACLE:
             eff = effective_channel(build_los_scenario(s))
-            gain = grid_search_phase(eff) / _norm(s)
+            gain = grid_search_phase(eff) / single_element_gain(s)
             return [record(-1, gain, time.perf_counter() - t0)]
         # iterative methods
         ch = build_los_scenario(s)
@@ -229,7 +225,7 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
             flags.append("saturation")
         if not res.converged:
             flags.append("not_converged")
-        trace = res.trace / _norm(s)
+        trace = res.trace / single_element_gain(s)
         if trace_elements:
             return [record(i, float(g), elapsed, flags) for i, g in enumerate(trace)]
         # one record per completed sweep, taken where the sweep closed
@@ -240,17 +236,10 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
         return [record(-1, 0.0, elapsed, (f"error:{type(exc).__name__}",))]
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1,
-              trace_elements: bool = False) -> list[SweepRecord]:
-    """Execute every (scenario, method) pair of the spec; deterministic output order."""
-    tasks = [(s, m) for s in spec.scenarios() for m in spec.methods]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda t: _run_method(spec, t[0], t[1], trace_elements), tasks))
-    else:
-        results = [_run_method(spec, s, m, trace_elements) for s, m in tasks]
-    records = [r for group in results for r in group]
+def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord]:
+    """Execute every (scenario, method) pair in turn; records are sorted to fix the CSV order."""
+    records = [r for s in spec.scenarios() for m in spec.methods
+               for r in _run_method(spec, s, m, trace_elements)]
     records.sort(key=SweepRecord.sort_key)
     return records
 

@@ -11,6 +11,7 @@ from riscoupling import (
     build_los_scenario,
     channel_gain,
     evaluate_channel,
+    init_context,
     psd_inv_sqrt,
     psd_sqrt,
     spectral_efficiency,
@@ -163,14 +164,15 @@ class TestEvaluateChannel:
         z_p = evaluate_channel(ch_p, RisState(x[perm]))
         assert np.allclose(z, z_p, rtol=1e-10)
 
-    def test_singular_loading_rejected(self):
+    @pytest.mark.parametrize("evaluate", [evaluate_channel, init_context])
+    def test_singular_loading_rejected(self, evaluate):
         # Z_R = R I and x = (-R, ...) makes Z_R + j diag(x)... still invertible;
         # force singularity with a rank-deficient real part instead.
         z_r = np.full((2, 2), 50.0, dtype=complex)
         np.fill_diagonal(z_r, 50.0)
         ch = ImpedanceChannel([[0.0]], [[50.0, 50.0]], [[50.0], [50.0]], z_r, 50.0)
         with pytest.raises(NumericallySingularError) as exc:
-            evaluate_channel(ch, RisState.zeros(2))
+            evaluate(ch, RisState.zeros(2))
         assert exc.value.condition is None or exc.value.condition > 1e14
 
     def test_voltage_transfer_scaling(self):

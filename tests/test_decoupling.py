@@ -136,6 +136,8 @@ class TestDualPathEquality:
 class TestPhaseReactanceMap:
     def test_theta_minus_one_maps_to_zero(self):
         assert theta_to_reactance(np.array([-1.0 + 0.0j]), 50.0)[0] == 0.0
+        # so does every phase within the dead zone around pi
+        assert theta_to_reactance(np.array([np.exp(1j * (np.pi - 2e-5))]), 50.0)[0] == 0.0
 
     def test_theta_plus_one_saturates(self):
         assert theta_to_reactance(np.array([1.0 + 0.0j]), 50.0)[0] == 1e9
@@ -143,6 +145,8 @@ class TestPhaseReactanceMap:
     def test_round_trip(self):
         rng = np.random.default_rng(32)
         theta = np.exp(1j * rng.uniform(-np.pi + 0.01, np.pi - 0.01, 40))
+        # just outside the dead zone around pi
+        theta = np.append(theta, np.exp(1j * (np.pi - 1e-4)))
         x = theta_to_reactance(theta, 50.0)
         assert np.allclose(reactance_to_theta(x, 50.0), theta, rtol=1e-9)
 

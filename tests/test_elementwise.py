@@ -159,9 +159,13 @@ class TestOptimalThetaSe:
 
 class TestThetaToDeltaX:
     def test_theta_minus_one_is_noop(self):
-        dx, saturated = theta_to_delta_x(-1.0 + 0.0j, 0.02 + 0.001j)
-        assert dx == 0.0
-        assert not saturated
+        g = 0.02 + 0.001j
+        for theta in (-1.0 + 0.0j, np.exp(1j * (np.pi - 2e-5))):
+            dx, saturated = theta_to_delta_x(theta, g)
+            assert dx == 0.0
+            assert not saturated
+        # outside the dead zone around pi the step is not zero
+        assert theta_to_delta_x(np.exp(1j * (np.pi - 1e-4)), g)[0] != 0.0
 
     def test_real_g_theta_one_saturates(self):
         dx, saturated = theta_to_delta_x(1.0 + 0.0j, 1.0 / 50.0 + 0.0j)
