@@ -55,7 +55,7 @@ print()
 print("=== per-sweep cost scaling ===")
 for n in (16, 32, 64):
     big = build_los_scenario(Scenario(n=n, spacing=0.25, alpha_tx=0.0, alpha_rx=np.pi))
-    cfg = OptimizerConfig(max_sweeps=5, tol=0.0, refactor_every=1000)
+    cfg = OptimizerConfig(max_sweeps=5, tol=0.0)
     t0 = time.perf_counter()
     res = optimize(big, RisState.zeros(n), cfg)
     per = (time.perf_counter() - t0) / res.sweeps

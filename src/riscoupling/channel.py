@@ -51,14 +51,15 @@ class Scenario:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.k < 1:
             raise InvalidArgumentError("n, m, k must be positive integers")
+        if not np.all(np.isfinite((self.spacing, self.alpha_tx, self.alpha_rx, self.gamma_dr,
+                                   self.gamma_rs, self.gamma_loss, self.R))):
+            raise InvalidArgumentError("spacing, angles, pathloss, loss and R must be finite")
         if self.spacing <= 0:
             raise InvalidArgumentError("spacing must be positive")
         if self.gamma_loss < 0 or self.gamma_dr < 0 or self.gamma_rs < 0:
             raise InvalidArgumentError("pathloss and loss factors must be nonnegative")
         if self.R <= 0:
             raise InvalidArgumentError("reference resistance must be positive")
-        if not (np.isfinite(self.alpha_tx) and np.isfinite(self.alpha_rx)):
-            raise InvalidArgumentError("angles must be finite")
 
 
 @dataclass(frozen=True)

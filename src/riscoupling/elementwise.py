@@ -51,6 +51,9 @@ ACCEL_WINDOW = 30
 ACCEL_RATIO = 0.9
 ACCEL_STIFF = 1e-2
 
+# Sweeps between dense re-inversions that contain the rank-one roundoff drift.
+REFACTOR_EVERY = 10
+
 SISO_GAIN = "siso_gain"
 SPECTRAL_EFFICIENCY = "spectral_efficiency"
 
@@ -59,13 +62,12 @@ SPECTRAL_EFFICIENCY = "spectral_efficiency"
 class OptimizerConfig:
     max_sweeps: int = 500
     tol: float = 1e-10
-    refactor_every: int = 10
     objective: str = SISO_GAIN
 
     def __post_init__(self):
-        if self.max_sweeps < 1 or self.refactor_every < 1:
-            raise InvalidArgumentError("max_sweeps and refactor_every must be >= 1")
-        if self.tol < 0:
+        if self.max_sweeps < 1:
+            raise InvalidArgumentError("max_sweeps must be >= 1")
+        if not self.tol >= 0:
             raise InvalidArgumentError("tol must be nonnegative")
         if self.objective not in (SISO_GAIN, SPECTRAL_EFFICIENCY):
             raise InvalidArgumentError(f"unknown objective {self.objective!r}")
@@ -96,7 +98,6 @@ class ElementParams(NamedTuple):
 
 class ThetaResult(NamedTuple):
     theta: complex
-    value: float        # achievable objective (amplitude |z| for SISO, SE in bits)
     no_effect: bool
 
 
@@ -129,9 +130,9 @@ def element_params(ctx: RankOneContext, n: int) -> ElementParams:
 def optimal_theta_siso(z0: complex, a: complex, b: complex) -> ThetaResult:
     """Unit-modulus theta maximizing |z0 + a conj(b) theta| (scalars only)."""
     if a == 0 or b == 0:
-        return ThetaResult(1.0 + 0.0j, abs(z0), True)
+        return ThetaResult(1.0 + 0.0j, True)
     phi = np.angle(z0) + np.angle(b) - np.angle(a)
-    return ThetaResult(complex(np.exp(1j * phi)), abs(z0) + abs(a) * abs(b), False)
+    return ThetaResult(complex(np.exp(1j * phi)), False)
 
 
 def gram_factors(p: ElementParams) -> tuple[np.ndarray, np.ndarray]:
@@ -154,14 +155,9 @@ def optimal_theta_se(a_mat: np.ndarray, f: np.ndarray) -> ThetaResult:
     """Unit-modulus theta maximizing log2 det(A + F thetabar thetabar^H F^H)."""
     c = f.conj().T @ np.linalg.solve(a_mat, f)
     c12 = complex(c[0, 1])
-    sign, logdet = np.linalg.slogdet(a_mat)
-    base = logdet / math.log(2.0)
     if abs(c12) == 0.0:
-        se = base + math.log2(1.0 + c[0, 0].real + c[1, 1].real)
-        return ThetaResult(1.0 + 0.0j, float(se), True)
-    theta = c12 / abs(c12)
-    se = base + math.log2(1.0 + c[0, 0].real + c[1, 1].real + 2.0 * abs(c12))
-    return ThetaResult(complex(theta), float(se), False)
+        return ThetaResult(1.0 + 0.0j, True)
+    return ThetaResult(c12 / abs(c12), False)
 
 
 def theta_to_delta_x(theta: complex, g: complex) -> tuple[float, bool]:
@@ -288,10 +284,13 @@ class _SisoAccelerator:
     onto the crest before it is judged.  Stepping from the crest keeps the
     step from amplifying how far off the crest the sweep ended (and with it
     the roundoff that tells the rank-one and dense backends apart).  A step is
-    kept only if it does not lower the objective, so the trace stays monotone.
+    kept only if it raises the objective by more than tol relative, the
+    stopping rule's threshold: a step that gains only roundoff would be kept by
+    one backend and not the other.
     """
 
-    def __init__(self):
+    def __init__(self, tol: float):
+        self.tol = tol
         self.radius: float | None = None     # trust radius in y, set on engaging
         self.slow_sweeps = 0
         self.last_y: np.ndarray | None = None
@@ -350,7 +349,7 @@ class _SisoAccelerator:
             self.radius /= 4.0
         elif rho > 0.75 and np.linalg.norm(s) >= 0.99 * self.radius:
             self.radius *= 2.0
-        if new < obj:
+        if new - obj <= self.tol * obj:
             return None
         ctx.z_inv, ctx.z_bar, ctx.x = trial.z_inv, trial.z_bar, trial.x
         return new
@@ -375,7 +374,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
     obj = _objective(cfg, ctx.z_bar)
     trace = [obj]
     sweep_ends = []
-    accelerate = _SisoAccelerator() if cfg.objective == SISO_GAIN else None
+    accelerate = _SisoAccelerator(cfg.tol) if cfg.objective == SISO_GAIN else None
     saturations = 0
     converged = False
     sweeps = 0
@@ -388,7 +387,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
                 res = optimal_theta_siso(complex(p.z0[0, 0]), complex(p.a[0]), complex(p.b[0]))
             else:
                 if np.linalg.norm(p.b) == 0:
-                    res = ThetaResult(1.0 + 0.0j, obj, True)
+                    res = ThetaResult(1.0 + 0.0j, True)
                 else:
                     res = optimal_theta_se(*gram_factors(p))
             if res.no_effect:
@@ -399,7 +398,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
             update(ctx, n, dx)
             obj = _objective(cfg, ctx.z_bar)
             trace.append(obj)
-        if (sweep + 1) % cfg.refactor_every == 0:
+        if (sweep + 1) % REFACTOR_EVERY == 0:
             refactor(ctx)
             obj = _objective(cfg, ctx.z_bar)
         if accelerate is not None:
@@ -425,8 +424,8 @@ def optimize(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig | None = N
     """Sweep elements 1..N with closed-form per-element updates until converged.
 
     The per-element update is exact and an acceleration step (SISO objective
-    only) is kept only if it does not lower the objective, so the trace is
-    non-decreasing.  Stops when the relative improvement over a sweep,
-    acceleration step included, drops below cfg.tol.
+    only) is kept only if it raises the objective by more than cfg.tol
+    relative, so the trace is non-decreasing.  Stops when the relative
+    improvement over a sweep, acceleration step included, drops below cfg.tol.
     """
     return coordinate_ascent(ch, x0, cfg or OptimizerConfig(), apply_update)

@@ -9,7 +9,7 @@ the CSV rows.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -36,12 +36,6 @@ NAMED_ANGLES = {
     "oblique": (np.pi / 4, np.pi / 4),
 }
 
-_REQUIRED_KEYS = ("N", "spacing", "angles", "methods")
-_KNOWN_KEYS = _REQUIRED_KEYS + (
-    "scenario_id", "gamma_loss", "R", "tol", "max_sweeps",
-    "gamma_dr", "gamma_rs", "output",
-)
-
 
 class ConfigError(InvalidArgumentError):
     """Malformed sweep configuration; message carries line/key context."""
@@ -49,24 +43,30 @@ class ConfigError(InvalidArgumentError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    scenario_id: str
+    """The sweep schema.  Omitted physics knobs take the Scenario defaults, the
+    optimizer knobs the OptimizerConfig defaults; every value is checked here."""
+
     n_list: tuple[int, ...]
     spacing_list: tuple[float, ...]
     angle_pairs: tuple[tuple[float, float], ...]
     methods: tuple[MethodId, ...]
-    gamma_loss_list: tuple[float, ...] = (0.0,)
-    gamma_dr: float = 1.0
-    gamma_rs: float = 1.0
-    R: float = 50.0
-    tol: float = 1e-10
-    max_sweeps: int = 500
+    scenario_id: str = "sweep"
+    gamma_loss_list: tuple[float, ...] = (Scenario.gamma_loss,)
+    gamma_dr: float = Scenario.gamma_dr
+    gamma_rs: float = Scenario.gamma_rs
+    R: float = Scenario.R
+    tol: float = OptimizerConfig.tol
+    max_sweeps: int = OptimizerConfig.max_sweeps
     output: str = ""
 
     def __post_init__(self):
-        if not self.n_list or not self.spacing_list or not self.angle_pairs:
-            raise ConfigError("sweep axes must be nonempty")
-        if not self.methods:
-            raise ConfigError("methods list must be nonempty")
+        try:
+            scenarios = self.scenarios()
+            self.optimizer_config()
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from None
+        if not scenarios or not self.methods:
+            raise ConfigError("sweep axes and methods must be nonempty")
         if not self.output:
             object.__setattr__(self, "output", f"{self.scenario_id}.csv")
 
@@ -80,6 +80,9 @@ class SweepSpec:
             for (atx, arx) in self.angle_pairs
             for g in self.gamma_loss_list
         ]
+
+    def optimizer_config(self) -> OptimizerConfig:
+        return OptimizerConfig(max_sweeps=self.max_sweeps, tol=self.tol)
 
 
 @dataclass
@@ -105,23 +108,50 @@ class SweepRecord:
                 self.alpha_tx, self.alpha_rx, self.gamma_loss, self.sweep_index)
 
 
-def _parse_angle(token: str, lineno: int) -> tuple[float, float]:
+def _angle(token: str) -> tuple[float, float]:
     token = token.strip()
     if token in NAMED_ANGLES:
         return NAMED_ANGLES[token]
-    if ":" in token:
-        try:
-            atx, arx = (float(p) for p in token.split(":"))
-            return (atx, arx)
-        except ValueError:
-            pass
-    raise ConfigError(f"line {lineno}: bad angle spec {token!r} "
-                      f"(expected one of {sorted(NAMED_ANGLES)} or 'atx:arx')")
+    try:
+        atx, arx = (float(p) for p in token.split(":"))
+    except ValueError:
+        raise ConfigError(f"bad angle spec {token!r} "
+                          f"(expected one of {sorted(NAMED_ANGLES)} or 'atx:arx')") from None
+    return (atx, arx)
+
+
+def _method(token: str) -> MethodId:
+    try:
+        return MethodId(token.strip())
+    except ValueError:
+        raise ConfigError(f"unknown method {token.strip()!r} "
+                          f"(known: {[m.value for m in MethodId]})") from None
+
+
+def _each(parse, sep=","):
+    return lambda value: tuple(parse(p) for p in value.split(sep))
+
+
+# config key -> (SweepSpec field, value parser)
+_KEYS = {
+    "scenario_id": ("scenario_id", str),
+    "N": ("n_list", _each(int)),
+    "spacing": ("spacing_list", _each(float)),
+    "angles": ("angle_pairs", _each(_angle, ";")),
+    "methods": ("methods", _each(_method)),
+    "gamma_loss": ("gamma_loss_list", _each(float)),
+    "gamma_dr": ("gamma_dr", float),
+    "gamma_rs": ("gamma_rs", float),
+    "R": ("R", float),
+    "tol": ("tol", float),
+    "max_sweeps": ("max_sweeps", int),
+    "output": ("output", str),
+}
 
 
 def parse_config(text: str) -> SweepSpec:
     """Parse a flat key-value sweep config (lists comma-separated, # comments)."""
-    raw: dict[str, tuple[str, int]] = {}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -129,66 +159,22 @@ def parse_config(text: str) -> SweepSpec:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (p.strip() for p in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        name, parse = _KEYS[key]
+        if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = (value, lineno)
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+        try:
+            values[name] = parse(value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        except ValueError:
+            raise ConfigError(f"line {lineno}: non-numeric value for {key!r}: {value!r}") from None
+    required = {f.name for f in fields(SweepSpec) if f.default is MISSING}
+    for key, (name, _) in _KEYS.items():
+        if name in required and name not in values:
             raise ConfigError(f"missing required key {key!r}")
-
-    def floats(key, default):
-        if key not in raw:
-            return default
-        value, lineno = raw[key]
-        try:
-            return tuple(float(p) for p in value.split(","))
-        except ValueError:
-            raise ConfigError(f"line {lineno}: non-numeric value for {key!r}: {value!r}")
-
-    def scalar(key, cast, default):
-        if key not in raw:
-            return default
-        value, lineno = raw[key]
-        try:
-            return cast(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: non-numeric value for {key!r}: {value!r}")
-
-    value, lineno = raw["N"]
-    try:
-        n_list = tuple(int(p) for p in value.split(","))
-    except ValueError:
-        raise ConfigError(f"line {lineno}: non-integer value for 'N': {value!r}")
-
-    value, lineno = raw["angles"]
-    angle_pairs = tuple(_parse_angle(tok, lineno) for tok in value.split(";"))
-
-    value, lineno = raw["methods"]
-    methods = []
-    for tok in value.split(","):
-        tok = tok.strip()
-        try:
-            methods.append(MethodId(tok))
-        except ValueError:
-            raise ConfigError(f"line {lineno}: unknown method {tok!r} "
-                              f"(known: {[m.value for m in MethodId]})")
-
-    return SweepSpec(
-        scenario_id=raw.get("scenario_id", ("sweep", 0))[0],
-        n_list=n_list,
-        spacing_list=floats("spacing", None),
-        angle_pairs=angle_pairs,
-        methods=tuple(methods),
-        gamma_loss_list=floats("gamma_loss", (0.0,)),
-        gamma_dr=scalar("gamma_dr", float, 1.0),
-        gamma_rs=scalar("gamma_rs", float, 1.0),
-        R=scalar("R", float, 50.0),
-        tol=scalar("tol", float, 1e-10),
-        max_sweeps=scalar("max_sweeps", int, 500),
-        output=raw.get("output", ("", 0))[0],
-    )
+    return SweepSpec(**values)
 
 
 def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
@@ -216,9 +202,8 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
             return [record(-1, gain, time.perf_counter() - t0)]
         # iterative methods
         ch = build_los_scenario(s)
-        cfg = OptimizerConfig(max_sweeps=spec.max_sweeps, tol=spec.tol)
         runner = optimize if method is MethodId.ELEMENT_WISE else naive_elementwise
-        res = runner(ch, RisState.zeros(s.n), cfg)
+        res = runner(ch, RisState.zeros(s.n), spec.optimizer_config())
         elapsed = time.perf_counter() - t0
         flags = []
         if res.saturation_events:

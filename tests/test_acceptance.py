@@ -256,7 +256,7 @@ def test_c13_complexity_scaling():
     medians = {}
     for n in (32, 64):
         ch = build_los_scenario(end_fire(n, 0.25))
-        cfg = OptimizerConfig(max_sweeps=5, tol=0.0, refactor_every=1000)
+        cfg = OptimizerConfig(max_sweeps=5, tol=0.0)
         times = []
         for _ in range(3):
             t0 = time.perf_counter()

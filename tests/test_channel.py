@@ -239,6 +239,15 @@ class TestStateValidation:
         with pytest.raises(InvalidArgumentError):
             Scenario(n=2, spacing=0.5, alpha_tx=0.0, alpha_rx=0.0, gamma_loss=-0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["spacing", "alpha_tx", "gamma_dr", "gamma_rs",
+                                       "gamma_loss", "R"])
+    def test_scenario_rejects_nonfinite(self, field, value):
+        kwargs = dict(n=2, spacing=0.5, alpha_tx=0.0, alpha_rx=0.0)
+        kwargs[field] = value
+        with pytest.raises(InvalidArgumentError):
+            Scenario(**kwargs)
+
     def test_channel_dimension_check(self):
         with pytest.raises(InvalidArgumentError):
             ImpedanceChannel(np.zeros((1, 1)), np.zeros((1, 3)), np.zeros((2, 1)),

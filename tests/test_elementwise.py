@@ -104,7 +104,6 @@ class TestOptimalThetaSiso:
     def test_aligned_reals(self):
         res = optimal_theta_siso(1.0, 1.0, 1.0)
         assert res.theta == pytest.approx(1.0)
-        assert res.value == pytest.approx(2.0)
         assert abs(1.0 + 1.0 * np.conj(1.0) * res.theta) ** 2 == pytest.approx(4.0)
 
     def test_quarter_turn(self):
@@ -154,7 +153,6 @@ class TestOptimalThetaSe:
                 spectral_efficiency(p.z0 + np.outer(p.a, p.b.conj()) * t) for t in grid[::36]
             )
             assert se_star >= se_grid - 1e-10
-            assert res.value == pytest.approx(se_star, rel=1e-9)
 
 
 class TestThetaToDeltaX:
@@ -279,6 +277,8 @@ class TestOptimize:
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(tol=-1.0)
         with pytest.raises(InvalidArgumentError):
+            OptimizerConfig(tol=float("nan"))
+        with pytest.raises(InvalidArgumentError):
             OptimizerConfig(objective="nope")
 
 
@@ -390,3 +390,21 @@ class TestSlowRidgeScenario:
             np.testing.assert_allclose(hess[:, n], (g_plus - g_minus) / (2 * h),
                                        rtol=1e-4, atol=1e-6 * np.abs(hess).max())
         assert np.all(np.linalg.eigvalsh(hess) < 0)
+
+
+class TestAccelerationThreshold:
+    """Draw 22 of the acceptance fixture.  At convergence an acceleration step
+    can gain only roundoff, which one backend sees as a gain and the other does
+    not; a step must gain more than the stopping tolerance to be kept."""
+
+    SCENARIO = Scenario(n=7, spacing=0.3262071151300452, alpha_tx=2.8459190479964,
+                        alpha_rx=0.9574444857217485, gamma_dr=0.7734536332478623,
+                        gamma_rs=0.6714645928039642)
+
+    def test_both_backends_keep_the_same_steps(self):
+        ch = build_los_scenario(self.SCENARIO)
+        fast = optimize(ch, RisState.zeros(7))
+        naive = naive_elementwise(ch, RisState.zeros(7))
+        assert fast.sweeps == naive.sweeps
+        assert fast.trace.size == naive.trace.size
+        np.testing.assert_allclose(fast.trace, naive.trace, rtol=1e-9)

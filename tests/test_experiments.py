@@ -194,6 +194,16 @@ class TestCli:
         cfg.write_text("nonsense\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("line", ["N = 0", "spacing = -0.1", "spacing = nan",
+                                      "spacing = inf", "gamma_loss = -1", "max_sweeps = 0"])
+    def test_out_of_range_value_exit_code(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        text = "\n".join(ln for ln in MINIMAL.splitlines() if not ln.startswith(key + " "))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n" + line + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 1
