@@ -1,9 +1,11 @@
-"""Coordinate-descent reactance optimizer with cached rank-one inverse updates.
+"""Coordinate-descent reactance optimizer with delayed rank-one inverse updates.
 
 Each element update is a closed-form maximizer of the objective given all
-other reactances fixed.  The inverse of the loading matrix is maintained by
-the matrix inversion lemma, so one full sweep over N elements costs O(N^3)
-instead of the O(N^4) of dense re-inversion per element.
+other reactances fixed.  The inverse G of the loading matrix follows the
+matrix inversion lemma in delayed form (see RankOneContext): an update reads
+one column of G in O(N k) and one block product every BLOCK updates folds the
+k held updates in, so a full sweep over N elements costs O(N^3) instead of the
+O(N^4) of dense re-inversion per element.
 
 For the SISO objective, coordinate ascent can crawl for thousands of sweeps
 along narrow curved ridges of |z|^2.  Once it has settled into such slow
@@ -13,6 +15,7 @@ the analytic gradient and Hessian (see siso_derivatives).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -54,6 +57,9 @@ ACCEL_STIFF = 1e-2
 # Sweeps between dense re-inversions that contain the rank-one roundoff drift.
 REFACTOR_EVERY = 10
 
+# Rank-one updates held as a low-rank correction before a block product.
+BLOCK = 32
+
 SISO_GAIN = "siso_gain"
 SPECTRAL_EFFICIENCY = "spectral_efficiency"
 
@@ -73,22 +79,54 @@ class OptimizerConfig:
             raise InvalidArgumentError(f"unknown objective {self.objective!r}")
 
 
-@dataclass
 class RankOneContext:
-    """Cached inverse of the loading matrix and the current channel.
+    """The inverse G = (Z_R + j diag(x))^{-1} of the loading matrix and the channel.
 
-    z_inv tracks (Z_R + j diag(x))^{-1}; z_bar the corresponding end-to-end
-    channel.  Both are kept in sync by apply_update.
+    G is held as g0 - p[:k]^T q[:k]: the stored inverse less the k rank-one
+    updates made since the last block product (the delayed update of McDaniel
+    et al., J. Chem. Phys. 2017).  u = Z_DR G, v = G Z_RS and
+    z_bar = Z_DS - Z_DR G Z_RS are kept current by apply_update.  On a scalar
+    context (K = M = 1) the per-element math runs on Python complex numbers.
     """
 
-    ch: ImpedanceChannel
-    z_inv: np.ndarray
-    z_bar: np.ndarray
-    x: np.ndarray
+    def __init__(self, ch: ImpedanceChannel, z_inv: np.ndarray, x: np.ndarray):
+        self.ch, self.x = ch, x
+        self.scalar = ch.k == 1 and ch.m == 1
+        self.p, self.q = np.empty((2, BLOCK, ch.n), dtype=complex)
+        self.z_inv = z_inv
+
+    def flush(self) -> None:
+        """Fold the pending updates into the stored inverse: g0 -= p[:k]^T q[:k]."""
+        # as N vector-matrix products, not one N x k x N matrix product: work
+        # inside a sweep stays off multithreaded BLAS-3 (see README)
+        self.g0 -= np.matmul(self.p[:self.k].T[:, None, :], self.q[:self.k])[:, 0]
+        self.k = 0
+
+    @property
+    def z_inv(self) -> np.ndarray:
+        """G, with the pending updates folded in first."""
+        if self.k:
+            self.flush()
+        return self.g0
+
+    @z_inv.setter
+    def z_inv(self, g: np.ndarray) -> None:
+        """Replace G; u, v and z_bar are recomputed from it."""
+        self.g0, self.k = g, 0
+        self.u = self.ch.z_dr @ g
+        self.v = g @ self.ch.z_rs
+        self.z_bar = self.ch.z_ds - self.u @ self.ch.z_rs
+
+    def column(self, n: int) -> np.ndarray:
+        """Column n of G, which is also row n (G is symmetric).  O(N k)."""
+        return self.g0[n] - self.p[:self.k, n] @ self.q[:self.k]
 
 
 class ElementParams(NamedTuple):
-    """Per-element update parameters: Z = Z0 + a b^H theta over unit-modulus theta."""
+    """Per-element update parameters: Z = Z0 + a b^H theta over unit-modulus theta.
+
+    On a scalar context a, b and z0 are numpy complex scalars.
+    """
 
     a: np.ndarray       # K-vector, Z_DR zinv e_n
     b: np.ndarray       # M-vector, already scaled by 1/(2 Re g)
@@ -103,36 +141,36 @@ class ThetaResult(NamedTuple):
 
 def init_context(ch: ImpedanceChannel, state: RisState) -> RankOneContext:
     """Dense-inverse initialization of the update cache."""
-    z_inv = checked_inverse(loading_matrix(ch, state))
-    z_bar = ch.z_ds - ch.z_dr @ z_inv @ ch.z_rs
-    return RankOneContext(ch=ch, z_inv=z_inv, z_bar=z_bar, x=state.x.copy())
+    return RankOneContext(ch, checked_inverse(loading_matrix(ch, state)), state.x.copy())
 
 
 def element_params(ctx: RankOneContext, n: int) -> ElementParams:
     """Parameters of the rank-one channel parametrization for element n.
 
-    Costs O(N max(M, K)) given the cached inverse; no matrix inversion.
+    Costs O(k + M + K M) given the context; no matrix inversion.
     Raises ChangeOfVariablesError when Re(g) <= 0, where the phase change of
     variables is undefined.
     """
-    a = ctx.ch.z_dr @ ctx.z_inv[:, n]
-    b_prime_h = ctx.z_inv[n, :] @ ctx.ch.z_rs   # row vector e_n^T zinv Z_RS
-    g = complex(ctx.z_inv[n, n])
+    g = complex(ctx.g0[n, n] - ctx.p[:ctx.k, n] @ ctx.q[:ctx.k, n])
     if g.real <= 0.0:
         raise ChangeOfVariablesError(
             f"Re(g) = {g.real:.3e} <= 0 for element {n}; phase parametrization undefined"
         )
-    b = b_prime_h.conj() / (2.0 * g.real)
-    z0 = ctx.z_bar + np.outer(a, b.conj())
-    return ElementParams(a=a, b=b, g=g, z0=z0)
+    if ctx.scalar:
+        a, b = ctx.u.item(n), ctx.v.item(n).conjugate() / (2.0 * g.real)
+        c = np.complex128
+        return ElementParams(c(a), c(b), g, c(ctx.z_bar.item() + a * b.conjugate()))
+    a = ctx.u[:, n].copy()
+    b = ctx.v[n].conj() / (2.0 * g.real)     # v[n] is the row e_n^T zinv Z_RS
+    return ElementParams(a=a, b=b, g=g, z0=ctx.z_bar + a[:, None] * b.conj())
 
 
 def optimal_theta_siso(z0: complex, a: complex, b: complex) -> ThetaResult:
     """Unit-modulus theta maximizing |z0 + a conj(b) theta| (scalars only)."""
     if a == 0 or b == 0:
         return ThetaResult(1.0 + 0.0j, True)
-    phi = np.angle(z0) + np.angle(b) - np.angle(a)
-    return ThetaResult(complex(np.exp(1j * phi)), False)
+    phi = cmath.phase(z0) + cmath.phase(b) - cmath.phase(a)
+    return ThetaResult(cmath.exp(1j * phi), False)
 
 
 def gram_factors(p: ElementParams) -> tuple[np.ndarray, np.ndarray]:
@@ -140,14 +178,16 @@ def gram_factors(p: ElementParams) -> tuple[np.ndarray, np.ndarray]:
 
     Z Z^H = (A - I) + F thetabar thetabar^H F^H with thetabar = [theta, 1]^T.
     """
-    bnorm = np.linalg.norm(p.b)
+    a, b, z0 = p.a, p.b, p.z0
+    if isinstance(z0, complex):             # from a scalar context
+        a, b, z0 = np.array([a]), np.array([b]), np.array([[z0]])
+    bnorm = np.linalg.norm(b)
     if bnorm == 0:
         raise InvalidArgumentError("b = 0: element has no effect, Gram split undefined")
-    bu = p.b / bnorm
-    k = p.z0.shape[0]
-    proj = p.z0 @ (np.eye(p.b.size) - np.outer(bu, bu.conj())) @ p.z0.conj().T
-    a_mat = np.eye(k) + proj
-    f = np.column_stack([p.a * bnorm, p.z0 @ bu])
+    bu = b / bnorm
+    proj = z0 @ (np.eye(b.size) - np.outer(bu, bu.conj())) @ z0.conj().T
+    a_mat = np.eye(z0.shape[0]) + proj
+    f = np.column_stack([a * bnorm, z0 @ bu])
     return a_mat, f
 
 
@@ -167,7 +207,7 @@ def theta_to_delta_x(theta: complex, g: complex) -> tuple[float, bool]:
     -1) map to delta_x = 0, leaving the channel unchanged; a vanishing denominator
     means the optimum sits at the open-circuit limit and is clamped to +-X_MAX.
     """
-    phi = float(np.angle(theta))
+    phi = cmath.phase(theta)
     if math.pi - abs(phi) <= PI_DEAD_ZONE:
         return 0.0, False
     denom = g.real * math.tan(phi / 2.0) + g.imag
@@ -180,30 +220,38 @@ def theta_to_delta_x(theta: complex, g: complex) -> tuple[float, bool]:
 
 
 def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
-    """Rank-one update of the cached inverse and channel after x_n += dx. O(N^2)."""
+    """Rank-one update of the context after x_n += dx. O(N (k + K + M)) plus a block product."""
     if dx == 0.0:
         return
-    g = ctx.z_inv[n, n]
-    denom = 1.0 + 1j * dx * g
+    col = ctx.column(n)
+    denom = 1.0 + 1j * dx * col.item(n)
     if abs(denom) < 1e-14:
         raise DegenerateUpdateError(
             f"rank-one denominator |1 + j dx g| = {abs(denom):.3e} for element {n}"
         )
     factor = 1j * dx / denom
-    col = ctx.z_inv[:, n].copy()
-    row = ctx.z_inv[n, :].copy()
-    a = ctx.ch.z_dr @ col
-    b_prime_h = row @ ctx.ch.z_rs
-    ctx.z_inv -= factor * np.outer(col, row)
-    ctx.z_bar = ctx.z_bar + factor * np.outer(a, b_prime_h)
+    k = ctx.k
+    ctx.q[k] = col
+    fc = np.multiply(col, factor, out=ctx.p[k])     # G -= fc col^T; u, v and z_bar follow
+    if ctx.scalar:
+        a, b_prime_h = ctx.u.item(n), ctx.v.item(n)
+        ctx.z_bar[0, 0] = ctx.z_bar.item() + factor * (a * b_prime_h)
+        ctx.u[0] -= a * fc
+        ctx.v[:, 0] -= b_prime_h * fc
+    else:
+        a, b_prime_h = ctx.u[:, n, None], ctx.v[n]      # each product is taken before its update
+        ctx.z_bar = ctx.z_bar + factor * (a * b_prime_h)
+        ctx.u -= a * fc
+        ctx.v -= fc[:, None] * b_prime_h
+    ctx.k = k + 1
     ctx.x[n] += dx
+    if ctx.k == BLOCK:
+        ctx.flush()
 
 
 def refactor(ctx: RankOneContext) -> None:
     """Dense re-inversion to contain rank-one roundoff drift."""
-    fresh = init_context(ctx.ch, RisState(ctx.x))
-    ctx.z_inv = fresh.z_inv
-    ctx.z_bar = fresh.z_bar
+    ctx.z_inv = checked_inverse(loading_matrix(ctx.ch, RisState(ctx.x)))
 
 
 @dataclass
@@ -225,7 +273,8 @@ class OptimizeResult:
 
 def _objective(cfg: OptimizerConfig, z: np.ndarray) -> float:
     if cfg.objective == SISO_GAIN:
-        return channel_gain(z)
+        r = abs(z.item())           # channel_gain of the 1 x 1 channel
+        return r * r
     return spectral_efficiency(z)
 
 
@@ -258,15 +307,16 @@ def trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.n
     gt = v.T @ grad
     if w[-1] < 0.0:
         s = -gt / w
-        if np.linalg.norm(s) <= radius:
+        if math.sqrt(s.dot(s)) <= radius:
             return v @ s
     lo = max(w[-1], 0.0)
-    hi = lo + np.linalg.norm(gt) / radius + np.abs(w).max()   # |s(hi)| <= radius
+    hi = lo + math.sqrt(gt.dot(gt)) / radius + np.abs(w).max()   # |s(hi)| <= radius
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if np.linalg.norm(gt / (mid - w)) > radius:
+        t = gt / (mid - w)
+        if math.sqrt(t.dot(t)) > radius:
             lo = mid
         else:
             hi = mid
@@ -351,7 +401,7 @@ class _SisoAccelerator:
             self.radius *= 2.0
         if new - obj <= self.tol * obj:
             return None
-        ctx.z_inv, ctx.z_bar, ctx.x = trial.z_inv, trial.z_bar, trial.x
+        vars(ctx).update(vars(trial))      # the trial's fresh dense state
         return new
 
 
@@ -384,7 +434,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
         for n in range(ch.n):
             p = element_params(ctx, n)
             if cfg.objective == SISO_GAIN:
-                res = optimal_theta_siso(complex(p.z0[0, 0]), complex(p.a[0]), complex(p.b[0]))
+                res = optimal_theta_siso(p.z0, p.a, p.b)
             else:
                 if np.linalg.norm(p.b) == 0:
                     res = ThetaResult(1.0 + 0.0j, True)

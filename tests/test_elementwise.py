@@ -15,6 +15,7 @@ from riscoupling import (
 from riscoupling.baselines import naive_elementwise
 from riscoupling.decoupling import closed_form_siso, effective_channel
 from riscoupling.elementwise import (
+    BLOCK,
     SPECTRAL_EFFICIENCY,
     apply_update,
     element_params,
@@ -225,6 +226,46 @@ class TestApplyUpdate:
         refactor(ctx)
         residual = ctx.z_inv @ (ch.z_r + 1j * np.diag(ctx.x)) - np.eye(6)
         assert np.abs(residual).max() < 1e-9
+
+
+class TestDelayedUpdate:
+    """The held form g0 - p^T q of the inverse, and u, v and z_bar kept by
+    apply_update, against a fresh dense context at the same reactances."""
+
+    @pytest.mark.parametrize("n", [BLOCK + 8, BLOCK // 2 + 1])
+    @pytest.mark.parametrize("k, m", [(1, 1), (3, 2)])
+    def test_matches_dense_context_across_block_products(self, n, k, m):
+        rng = np.random.default_rng(26)
+        ch = random_channel(rng, n, k=k, m=m)
+        ctx = init_context(ch, RisState(rng.uniform(-100, 100, n)))
+        for _ in range(3 * BLOCK + 5):
+            apply_update(ctx, int(rng.integers(n)), float(rng.uniform(-30, 30)))
+        assert ctx.k == 5
+        fresh = init_context(ch, RisState(ctx.x))
+        g = fresh.z_inv
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+        for i in range(n):
+            assert close(ctx.column(i), g[:, i])
+        assert close(ctx.u, ch.z_dr @ g)
+        assert close(ctx.v, g @ ch.z_rs)
+        assert close(ctx.z_bar, fresh.z_bar)
+        assert close(ctx.z_inv, g)
+
+    def test_reading_z_inv_folds_the_pending_updates(self):
+        rng = np.random.default_rng(27)
+        ch = random_channel(rng, 6)
+        ctx = init_context(ch, RisState.zeros(6))
+        for n in range(5):
+            apply_update(ctx, n, float(rng.uniform(-50, 50)))
+        held = ctx.g0 - ctx.p[:5].T @ ctx.q[:5]
+        assert ctx.k == 5
+        g = ctx.z_inv
+        assert ctx.k == 0
+        assert np.abs(g - held).max() <= 1e-13 * np.abs(held).max()
+        assert np.array_equal(ctx.column(2), g[2])
 
 
 class TestOptimize:
