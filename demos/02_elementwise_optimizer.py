@@ -18,15 +18,15 @@ from riscoupling import (
     Scenario,
     build_los_scenario,
     closed_form_siso,
-    effective_channel,
     ignore_mc_gain,
     naive_elementwise,
     optimize,
+    single_element_gain,
 )
 
 scenario = Scenario(n=4, spacing=0.25, alpha_tx=0.0, alpha_rx=np.pi)
 ch = build_los_scenario(scenario)
-norm = scenario.gamma_dr * scenario.gamma_rs * scenario.R**2  # single-element gain
+norm = single_element_gain(scenario)
 
 result = optimize(ch, RisState.zeros(scenario.n))
 naive = naive_elementwise(ch, RisState.zeros(scenario.n))
@@ -46,7 +46,7 @@ print("max relative trace deviation:",
 
 print()
 print("=== where the local optimum sits ===")
-decoupled = closed_form_siso(effective_channel(ch)).gain / norm
+decoupled = closed_form_siso(ch).gain / norm
 print(f"ElementWise (local optimum):        {result.trace[-1] / norm:8.3f}")
 print(f"Decoupled closed form (global):     {decoupled:8.3f}")
 print(f"IgnoreMC (x = 0, no optimization):  {ignore_mc_gain(scenario):8.3f}")

@@ -11,20 +11,16 @@ from .channel import (
     evaluate_channel,
     psd_inv_sqrt,
     psd_sqrt,
+    single_element_gain,
     spectral_efficiency,
     steering_vector,
     voltage_transfer,
 )
 from .decoupling import (
     DecouplingNetwork,
-    EffectiveChannel,
     array_gain,
     closed_form_siso,
     effective_channel,
-    end_fire_gain,
-    evaluate_effective,
-    front_fire_gain,
-    lossy_coupling,
     power_matching_network,
     reactance_to_theta,
     reactance_transform,

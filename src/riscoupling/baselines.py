@@ -14,6 +14,7 @@ from .channel import (
     build_los_scenario,
     channel_gain,
     evaluate_channel,
+    single_element_gain,
     steering_vector,
 )
 from .elementwise import (
@@ -24,7 +25,7 @@ from .elementwise import (
     coordinate_ascent,
     refactor,
 )
-from .decoupling import EffectiveChannel
+from .decoupling import effective_channel
 from .errors import InvalidArgumentError
 
 
@@ -59,22 +60,22 @@ def naive_elementwise(ch: ImpedanceChannel, x0: RisState,
     return coordinate_ascent(ch, x0, cfg, _reinvert_update)
 
 
-def grid_search_phase(eff: EffectiveChannel) -> float:
-    """Exhaustive SISO gain maximum over a uniform per-element phase grid.
+def grid_search_phase(ch: ImpedanceChannel) -> float:
+    """Exhaustive SISO gain maximum of ch behind its power-matching network,
+    over a uniform per-element phase grid in the decoupled model.
 
     Lower bound on the true optimum within grid resolution.  Refused for
     N > 3 (the grid is exponential in N).  The grid has 3600 points per
     element for N = 1, 72 otherwise.
     """
-    n = eff.n
+    n = ch.n
     if n > 3:
         raise InvalidArgumentError(f"full phase grid refused for N = {n} > 3")
-    if eff.z_ds.shape != (1, 1):
+    if ch.z_ds.shape != (1, 1):
         raise InvalidArgumentError("grid search is SISO only")
     points = 3600 if n == 1 else 72
-    zdr = eff.z_dr_eff[0, :]
-    zrs = eff.z_rs_eff[:, 0]
-    prod = zdr * zrs / (2.0 * eff.R)
+    eff = effective_channel(ch)
+    prod = eff.z_dr[0, :] * eff.z_rs[:, 0] / (2.0 * eff.R)
     direct = complex(eff.z_ds[0, 0]) - prod.sum()
     phases = np.exp(2j * np.pi * np.arange(points) / points)
     z = np.full((points,) * n, direct, dtype=complex)
@@ -83,11 +84,6 @@ def grid_search_phase(eff: EffectiveChannel) -> float:
         shape[i] = points
         z = z + prod[i] * phases.reshape(shape)
     return float(np.max(np.abs(z) ** 2))
-
-
-def single_element_gain(s: Scenario) -> float:
-    """Normalization constant of the array gain: SISO gain of one lossless element."""
-    return s.gamma_dr * s.gamma_rs * s.R**2
 
 
 def no_coupling_gain(s: Scenario) -> float:

@@ -56,8 +56,8 @@ class Scenario:
             raise InvalidArgumentError("spacing, angles, pathloss, loss and R must be finite")
         if self.spacing <= 0:
             raise InvalidArgumentError("spacing must be positive")
-        if self.gamma_loss < 0 or self.gamma_dr < 0 or self.gamma_rs < 0:
-            raise InvalidArgumentError("pathloss and loss factors must be nonnegative")
+        if self.gamma_loss < 0 or self.gamma_dr <= 0 or self.gamma_rs <= 0:
+            raise InvalidArgumentError("pathloss factors must be positive, the loss factor nonnegative")
         if self.R <= 0:
             raise InvalidArgumentError("reference resistance must be positive")
 
@@ -206,10 +206,12 @@ def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     """End-to-end impedance channel Z = Z_DS - Z_DR (Z_R + j diag(x))^{-1} Z_RS."""
     if state.n != ch.n:
         raise InvalidArgumentError("state length does not match channel")
-    z_load = loading_matrix(ch, state)
-    checked_inverse(z_load)
-    # the inverse certifies the conditioning; the channel keeps its linear solve
-    return ch.z_ds - ch.z_dr @ np.linalg.solve(z_load, ch.z_rs)
+    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch, state)) @ ch.z_rs
+
+
+def single_element_gain(s: Scenario) -> float:
+    """Normalization constant of the array gain: SISO gain of one lossless element."""
+    return s.gamma_dr * s.gamma_rs * s.R**2
 
 
 def voltage_transfer(z: np.ndarray, R: float) -> np.ndarray:

@@ -3,7 +3,6 @@
 Subcommands:
     run          execute a sweep config and write its CSV
     list-figures show the shipped figure-reproduction configs
-    selftest     run the built-in oracle-equivalence checks
 """
 
 from __future__ import annotations
@@ -13,20 +12,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .baselines import grid_search_phase, naive_elementwise
-from .channel import RisState, Scenario, build_los_scenario, evaluate_channel
-from .decoupling import (
-    closed_form_siso,
-    effective_channel,
-    evaluate_effective,
-    power_matching_network,
-    reactance_transform,
-    transformed_load,
-)
-from .elementwise import OptimizerConfig, optimize
-from .errors import RisCouplingError
 from .experiments import ConfigError, parse_config, run_sweep, write_csv
 
 EXIT_OK = 0
@@ -68,74 +53,6 @@ def _cmd_list_figures(_args) -> int:
     return EXIT_OK
 
 
-def _selftest_trajectories(rng) -> bool:
-    for _ in range(5):
-        s = Scenario(
-            n=int(rng.integers(2, 9)),
-            spacing=float(rng.uniform(0.15, 0.5)),
-            alpha_tx=float(rng.uniform(0, np.pi)),
-            alpha_rx=float(rng.uniform(0, np.pi)),
-        )
-        ch = build_los_scenario(s)
-        cfg = OptimizerConfig(max_sweeps=50)
-        fast = optimize(ch, RisState.zeros(s.n), cfg)
-        naive = naive_elementwise(ch, RisState.zeros(s.n), cfg)
-        m = min(fast.trace.size, naive.trace.size)
-        if not np.allclose(fast.trace[:m], naive.trace[:m], rtol=1e-9):
-            return False
-    return True
-
-
-def _selftest_dual_path(rng) -> bool:
-    for _ in range(5):
-        s = Scenario(n=6, spacing=float(rng.uniform(0.15, 0.5)),
-                     alpha_tx=float(rng.uniform(0, np.pi)),
-                     alpha_rx=float(rng.uniform(0, np.pi)))
-        ch = build_los_scenario(s)
-        x = rng.uniform(10.0, 200.0, s.n) * rng.choice([-1.0, 1.0], s.n)
-        net = power_matching_network(ch.z_r, ch.R)
-        z_load = transformed_load(net, RisState(x))
-        z_a = ch.z_ds - ch.z_dr @ np.linalg.solve(ch.z_r + z_load, ch.z_rs)
-        z_b = evaluate_effective(effective_channel(ch), reactance_transform(x, ch.R))
-        if not np.allclose(z_a, z_b, rtol=1e-9, atol=1e-12):
-            return False
-    return True
-
-
-def _selftest_grid_bound(rng) -> bool:
-    for n in (1, 2, 3):
-        s = Scenario(n=n, spacing=float(rng.uniform(0.15, 0.5)),
-                     alpha_tx=float(rng.uniform(0, np.pi)),
-                     alpha_rx=float(rng.uniform(0, np.pi)))
-        eff = effective_channel(build_los_scenario(s))
-        closed = closed_form_siso(eff).gain
-        grid = grid_search_phase(eff)
-        if closed < grid * (1 - 1e-5):
-            return False
-    return True
-
-
-def _cmd_selftest(_args) -> int:
-    rng = np.random.default_rng(20240)
-    checks = [
-        ("rank-one vs dense trajectory", _selftest_trajectories),
-        ("network transform vs effective channel", _selftest_dual_path),
-        ("closed form vs phase grid", _selftest_grid_bound),
-    ]
-    ok = True
-    for name, fn in checks:
-        try:
-            passed = fn(rng)
-        except RisCouplingError as exc:
-            passed = False
-            print(f"FAIL {name}: {exc}")
-            ok = False
-            continue
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
-        ok = ok and passed
-    return EXIT_OK if ok else EXIT_NUMERICAL_ERROR
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riscoupling",
@@ -154,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_p = sub.add_parser("list-figures", help="list shipped figure configs")
     list_p.set_defaults(func=_cmd_list_figures)
-
-    self_p = sub.add_parser("selftest", help="run oracle-equivalence checks")
-    self_p.set_defaults(func=_cmd_selftest)
     return parser
 
 

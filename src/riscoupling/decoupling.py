@@ -1,10 +1,12 @@
-"""Power-matching decoupling network, uncoupled-equivalent channel, and array gains.
+"""Power-matching decoupling network, the decoupled channel model, and array gains.
 
 Inserting a lossless reciprocal 2N-port between the RIS array and its loads
 turns the coupled loading matrix into R I + j diag(x'), so every no-coupling
-solution carries over.  For SISO links the optimal loading then follows from
-phase alignment in closed form, which is what makes the array-gain analysis
-analytic.
+solution carries over.  The decoupled model is itself an ImpedanceChannel,
+with Z_R = R I and whitened RIS-side blocks (effective_channel), so
+evaluate_channel serves it at the transformed loads x'.  For SISO links the
+optimal loading then follows from phase alignment in closed form, which is
+what makes the array-gain analysis analytic.
 """
 
 from __future__ import annotations
@@ -19,16 +21,17 @@ from .channel import (
     ImpedanceChannel,
     RisState,
     Scenario,
-    build_coupling_matrix,
+    build_los_scenario,
     psd_inv_sqrt,
     psd_sqrt,
-    steering_vector,
+    single_element_gain,
 )
 from .elementwise import PI_DEAD_ZONE, X_MAX
 from .errors import InvalidArgumentError, SingularLoadError
 
 # Below this element spacing the normalized coupling matrix is so close to
-# singular that gains depend on the pseudo-inversion floor; refuse by default.
+# singular that gains depend on the pseudo-inversion floor; array_gain refuses,
+# closed_form_siso does not check.
 MIN_SPACING = 0.02
 
 
@@ -63,28 +66,10 @@ class DecouplingNetwork:
         return np.block([[self.z11, self.z12], [self.z12.T, self.z22]])
 
 
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Uncoupled-equivalent channel: loading matrix is R I + j diag(x')."""
-
-    z_ds: np.ndarray
-    z_dr_eff: np.ndarray
-    z_rs_eff: np.ndarray
-    R: float
-
-    def __post_init__(self):
-        for name in ("z_ds", "z_dr_eff", "z_rs_eff"):
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=complex)))
-
-    @property
-    def n(self) -> int:
-        return self.z_dr_eff.shape[1]
-
-
 class SisoSolution(NamedTuple):
     gain: float
     theta: np.ndarray   # unit-modulus per-element reflection coefficients
-    x: np.ndarray       # equivalent load reactances in the effective model
+    x: np.ndarray       # load reactances x' of the decoupled model
 
 
 def power_matching_network(z_r: np.ndarray, R: float) -> DecouplingNetwork:
@@ -126,23 +111,16 @@ def reactance_transform(x: np.ndarray, R: float) -> np.ndarray:
     return -R**2 / x
 
 
-def effective_channel(ch: ImpedanceChannel) -> EffectiveChannel:
-    """Whitened channel blocks: Z_DR Re(Z_R)^{-1/2} sqrt(R) and sqrt(R) Re(Z_R)^{-1/2} Z_RS."""
+def effective_channel(ch: ImpedanceChannel) -> ImpedanceChannel:
+    """Decoupled model of ch: Z_R = R I, blocks Z_DR W and W Z_RS with W = sqrt(R) Re(Z_R)^{-1/2}.
+
+    At loads x' = reactance_transform(x, R) it gives the channel of ch behind
+    its power-matching network at loads x.
+    """
     inv_sq = psd_inv_sqrt(ch.z_r.real)
     root_r = math.sqrt(ch.R)
-    return EffectiveChannel(
-        z_ds=ch.z_ds,
-        z_dr_eff=ch.z_dr @ inv_sq * root_r,
-        z_rs_eff=root_r * inv_sq @ ch.z_rs,
-        R=ch.R,
-    )
-
-
-def evaluate_effective(eff: EffectiveChannel, x: np.ndarray) -> np.ndarray:
-    """Channel of the uncoupled-equivalent model at load reactances x'."""
-    x = np.asarray(x, dtype=float)
-    diag = eff.R + 1j * x
-    return eff.z_ds - (eff.z_dr_eff / diag[None, :]) @ eff.z_rs_eff
+    return ImpedanceChannel(ch.z_ds, ch.z_dr @ inv_sq * root_r, root_r * inv_sq @ ch.z_rs,
+                            ch.R * np.eye(ch.n), ch.R)
 
 
 def theta_to_reactance(theta: np.ndarray, R: float) -> np.ndarray:
@@ -165,18 +143,18 @@ def reactance_to_theta(x: np.ndarray, R: float) -> np.ndarray:
     return (1j * x - R) / (1j * x + R)
 
 
-def closed_form_siso(eff: EffectiveChannel) -> SisoSolution:
-    """Globally optimal SISO channel gain of the uncoupled-equivalent model.
+def closed_form_siso(ch: ImpedanceChannel) -> SisoSolution:
+    """Globally optimal SISO channel gain of ch behind its power-matching network.
 
-    Phase alignment: every reflected term is rotated onto the phase of the
-    composite direct term z_DS - (1/2R) z_DR'^T z_RS' (reference phase 0 when
-    that term vanishes).
+    Phase alignment in the decoupled model effective_channel(ch): every
+    reflected term is rotated onto the phase of the composite direct term
+    z_DS - (1/2R) z_DR'^T z_RS' (reference phase 0 when that term vanishes).
+    SisoSolution.x holds the loads x' of that model.
     """
-    if eff.z_ds.shape != (1, 1):
+    if ch.z_ds.shape != (1, 1):
         raise InvalidArgumentError("closed_form_siso requires K = M = 1")
-    zdr = eff.z_dr_eff[0, :]
-    zrs = eff.z_rs_eff[:, 0]
-    prod = zdr * zrs
+    eff = effective_channel(ch)
+    prod = eff.z_dr[0, :] * eff.z_rs[:, 0]
     direct = complex(eff.z_ds[0, 0]) - prod.sum() / (2.0 * eff.R)
     amp = abs(direct) + np.abs(prod).sum() / (2.0 * eff.R)
     ref = np.angle(direct) if direct != 0 else 0.0
@@ -184,56 +162,15 @@ def closed_form_siso(eff: EffectiveChannel) -> SisoSolution:
     return SisoSolution(gain=float(amp**2), theta=theta, x=theta_to_reactance(theta, eff.R))
 
 
-def lossy_coupling(c_r: np.ndarray, gamma: float) -> np.ndarray:
-    """Add the Ohmic dissipation ratio to the normalized coupling matrix: C + gamma I."""
-    if gamma < 0:
-        raise InvalidArgumentError("gamma must be nonnegative")
-    c_r = np.asarray(c_r, dtype=float)
-    return c_r + gamma * np.eye(c_r.shape[0])
-
-
-def _normalized_coupling(n: int, spacing: float, gamma_loss: float, allow_small_spacing: bool) -> np.ndarray:
-    if spacing < MIN_SPACING and not allow_small_spacing:
-        raise InvalidArgumentError(
-            f"spacing {spacing} below {MIN_SPACING}: coupling matrix too ill-conditioned "
-            "(pass allow_small_spacing=True to override)"
-        )
-    c = build_coupling_matrix(n, spacing, 1.0).real
-    return lossy_coupling(c, gamma_loss)
-
-
-def array_gain(s: Scenario, allow_small_spacing: bool = False) -> float:
-    """Channel gain of the decoupled closed form, normalized by the single-element gain.
+def array_gain(s: Scenario) -> float:
+    """Decoupled channel gain of the LOS scenario, normalized by the single-element gain.
 
     A = 1/4 (|a_DR^T C^{-1} a_RS| + sum_n |a_DR^T C^{-1/2} e_n| |e_n^T C^{-1/2} a_RS|)^2
     with C = Re(Z_R)/R (+ gamma I under Ohmic loss).
     """
-    c = _normalized_coupling(s.n, s.spacing, s.gamma_loss, allow_small_spacing)
-    a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
-    a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
-    c_mh = psd_inv_sqrt(c)
-    u = a_dr @ c_mh
-    v = c_mh @ a_rs
-    t_coh = abs(u @ v)
-    t_sum = float(np.abs(u) @ np.abs(v))
-    return (t_coh + t_sum) ** 2 / 4.0
-
-
-def front_fire_gain(n: int, spacing: float, gamma_loss: float = 0.0,
-                    allow_small_spacing: bool = False) -> float:
-    """(1^T C^{-1} 1)^2: square of the conventional broadside transmit array gain."""
-    c = _normalized_coupling(n, spacing, gamma_loss, allow_small_spacing)
-    c_mh = psd_inv_sqrt(c)
-    ones = np.ones(n)
-    v = c_mh @ ones
-    return float(v @ v) ** 2
-
-
-def end_fire_gain(n: int, spacing: float, gamma_loss: float = 0.0,
-                  allow_small_spacing: bool = False) -> float:
-    """(a0^H C^{-1} a0)^2; approaches N^4 for lossless arrays as spacing -> 0."""
-    c = _normalized_coupling(n, spacing, gamma_loss, allow_small_spacing)
-    a0 = steering_vector(n, spacing, 0.0)
-    c_mh = psd_inv_sqrt(c)
-    v = c_mh @ a0
-    return float(np.real(v.conj() @ v)) ** 2
+    if s.spacing < MIN_SPACING:
+        raise InvalidArgumentError(
+            f"spacing {s.spacing} below {MIN_SPACING}: coupling matrix too ill-conditioned "
+            "(closed_form_siso does not check)"
+        )
+    return closed_form_siso(build_los_scenario(s)).gain / single_element_gain(s)

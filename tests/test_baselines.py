@@ -8,7 +8,6 @@ from riscoupling import (
     Scenario,
     build_los_scenario,
     closed_form_siso,
-    effective_channel,
     grid_search_phase,
     ignore_mc_gain,
     naive_elementwise,
@@ -75,28 +74,27 @@ class TestGridSearchPhase:
     def test_single_element_matches_closed_form(self):
         rng = np.random.default_rng(220)
         s = random_scenario(rng, n=1)
-        eff = effective_channel(build_los_scenario(s))
-        closed = closed_form_siso(eff).gain
-        assert grid_search_phase(eff) == pytest.approx(closed, rel=1e-5)
+        ch = build_los_scenario(s)
+        assert grid_search_phase(ch) == pytest.approx(closed_form_siso(ch).gain, rel=1e-5)
 
     def test_symmetric_two_element_scenario(self):
         s = Scenario(n=2, spacing=0.3, alpha_tx=np.pi / 2, alpha_rx=np.pi / 2)
-        eff = effective_channel(build_los_scenario(s))
-        sol = closed_form_siso(eff)
+        ch = build_los_scenario(s)
+        sol = closed_form_siso(ch)
         assert sol.theta[0] == pytest.approx(sol.theta[1], rel=1e-12)
-        assert grid_search_phase(eff) <= sol.gain * (1 + 1e-12)
+        assert grid_search_phase(ch) <= sol.gain * (1 + 1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_three_element_lower_bounds_closed_form(self, seed):
         rng = np.random.default_rng(230 + seed)
         s = random_scenario(rng, n=3)
-        eff = effective_channel(build_los_scenario(s))
-        assert grid_search_phase(eff) <= closed_form_siso(eff).gain * (1 + 1e-12)
+        ch = build_los_scenario(s)
+        assert grid_search_phase(ch) <= closed_form_siso(ch).gain * (1 + 1e-12)
 
     def test_large_n_refused(self):
         s = Scenario(n=4, spacing=0.3, alpha_tx=0.1, alpha_rx=1.0)
         with pytest.raises(InvalidArgumentError):
-            grid_search_phase(effective_channel(build_los_scenario(s)))
+            grid_search_phase(build_los_scenario(s))
 
 
 class TestNoCouplingBaselines:

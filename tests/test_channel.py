@@ -239,6 +239,12 @@ class TestStateValidation:
         with pytest.raises(InvalidArgumentError):
             Scenario(n=2, spacing=0.5, alpha_tx=0.0, alpha_rx=0.0, gamma_loss=-0.1)
 
+    @pytest.mark.parametrize("field", ["gamma_dr", "gamma_rs"])
+    def test_scenario_rejects_zero_pathloss(self, field):
+        # the array gain is normalized by gamma_dr gamma_rs R^2
+        with pytest.raises(InvalidArgumentError, match="pathloss"):
+            Scenario(n=2, spacing=0.5, alpha_tx=0.0, alpha_rx=0.0, **{field: 0.0})
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["spacing", "alpha_tx", "gamma_dr", "gamma_rs",
                                        "gamma_loss", "R"])

@@ -195,7 +195,8 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("line", ["N = 0", "spacing = -0.1", "spacing = nan",
-                                      "spacing = inf", "gamma_loss = -1", "max_sweeps = 0"])
+                                      "spacing = inf", "gamma_loss = -1", "gamma_dr = 0",
+                                      "max_sweeps = 0"])
     def test_out_of_range_value_exit_code(self, tmp_path, line):
         key = line.split(" = ")[0]
         text = "\n".join(ln for ln in MINIMAL.splitlines() if not ln.startswith(key + " "))
@@ -219,11 +220,6 @@ class TestCli:
         out = capsys.readouterr().out
         for name in ("fig3.cfg", "fig4.cfg", "fig5.cfg", "fig6.cfg", "fig7.cfg", "fig8.cfg"):
             assert name in out
-
-    def test_selftest(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 3
 
 
 class TestShippedConfigs:
