@@ -2,6 +2,7 @@
 element-wise reactance optimization, and decoupling-network closed forms."""
 
 from .channel import (
+    ArrayFactors,
     ImpedanceChannel,
     RisState,
     Scenario,

@@ -8,12 +8,12 @@ import enum
 import numpy as np
 
 from .channel import (
+    ArrayFactors,
     ImpedanceChannel,
     RisState,
     Scenario,
     build_los_scenario,
     channel_gain,
-    evaluate_channel,
     single_element_gain,
     steering_vector,
 )
@@ -93,9 +93,13 @@ def no_coupling_gain(s: Scenario) -> float:
     return float(abs(a_dr @ a_rs) + s.n) ** 2 / 4.0
 
 
-def ignore_mc_gain(s: Scenario) -> float:
+def ignore_mc_gain(s: Scenario, factors: ArrayFactors | None = None) -> float:
     """Array gain when the no-coupling solution (x = 0, i.e. Theta' = -I) is
-    applied blindly to the true coupled channel."""
+    applied blindly to the true coupled channel.
+
+    At x = 0 the loading matrix is Z_R itself, so its inverse comes from
+    factors, which if given are those of the scenario's array.
+    """
     ch = build_los_scenario(s)
-    z = evaluate_channel(ch, RisState.zeros(s.n))
+    z = ch.z_ds - ch.z_dr @ (factors or ArrayFactors()).inverse(ch.z_r) @ ch.z_rs
     return channel_gain(z) / single_element_gain(s)

@@ -115,9 +115,10 @@ class ImpedanceChannel:
             )
         if self.R <= 0:
             raise InvalidArgumentError("reference resistance must be positive")
-        scale = max(np.abs(z_r).max(), 1.0)
-        if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
-            raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
+        if not np.array_equal(z_r, z_r.T):
+            scale = max(np.abs(z_r).max(), 1.0)
+            if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
+                raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
         for name, block in (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs), ("z_r", z_r)):
             object.__setattr__(self, name, block)
 
@@ -209,6 +210,38 @@ def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch, state)) @ ch.z_rs
 
 
+class ArrayFactors:
+    """The O(N^3) factorisations of one array impedance matrix Z_R, each made on
+    its first request and kept, read-only, for the later ones.
+
+    Every request passes Z_R, and all requests to one instance must pass the
+    same matrix.  Z_R depends on N, spacing, gamma_loss and R only, so the
+    scenarios of one array share one instance whatever their angles.  The
+    instance holds no Z_R of its own.  A factorisation that raises is not
+    kept: the next request tries again and raises again.
+    """
+
+    def __init__(self):
+        self._inverse = self._re_inv_sqrt = None
+
+    def inverse(self, z_r: np.ndarray) -> np.ndarray:
+        """checked_inverse(Z_R), the inverse of the loading matrix at x = 0."""
+        if self._inverse is None:
+            self._inverse = _read_only(checked_inverse(z_r))
+        return self._inverse
+
+    def re_inv_sqrt(self, z_r: np.ndarray) -> np.ndarray:
+        """psd_inv_sqrt(Re Z_R), the whitening of the power-matching network."""
+        if self._re_inv_sqrt is None:
+            self._re_inv_sqrt = _read_only(psd_inv_sqrt(z_r.real))
+        return self._re_inv_sqrt
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def single_element_gain(s: Scenario) -> float:
     """Normalization constant of the array gain: SISO gain of one lossless element."""
     return s.gamma_dr * s.gamma_rs * s.R**2
@@ -250,9 +283,11 @@ def _psd_eig(s: np.ndarray):
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidArgumentError("matrix must be square")
-    if np.abs(s - s.T).max() > PSD_TOL * max(np.abs(s).max(), 1.0):
-        raise InvalidArgumentError("matrix must be symmetric")
-    w, v = np.linalg.eigh((s + s.T) / 2.0)
+    if not np.array_equal(s, s.T):
+        if np.abs(s - s.T).max() > PSD_TOL * max(np.abs(s).max(), 1.0):
+            raise InvalidArgumentError("matrix must be symmetric")
+        s = (s + s.T) / 2.0
+    w, v = np.linalg.eigh(s)
     tol = PSD_TOL * max(abs(w[0]), abs(w[-1]), 1.0)
     if w[0] < -tol:
         raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")

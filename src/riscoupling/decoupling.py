@@ -18,11 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (
+    ArrayFactors,
     ImpedanceChannel,
     RisState,
     Scenario,
     build_los_scenario,
-    psd_inv_sqrt,
     psd_sqrt,
     single_element_gain,
 )
@@ -111,13 +111,15 @@ def reactance_transform(x: np.ndarray, R: float) -> np.ndarray:
     return -R**2 / x
 
 
-def effective_channel(ch: ImpedanceChannel) -> ImpedanceChannel:
+def effective_channel(ch: ImpedanceChannel,
+                      factors: ArrayFactors | None = None) -> ImpedanceChannel:
     """Decoupled model of ch: Z_R = R I, blocks Z_DR W and W Z_RS with W = sqrt(R) Re(Z_R)^{-1/2}.
 
     At loads x' = reactance_transform(x, R) it gives the channel of ch behind
-    its power-matching network at loads x.
+    its power-matching network at loads x.  Re(Z_R)^{-1/2} comes from factors,
+    which if given must be those of ch.z_r.
     """
-    inv_sq = psd_inv_sqrt(ch.z_r.real)
+    inv_sq = (factors or ArrayFactors()).re_inv_sqrt(ch.z_r)
     root_r = math.sqrt(ch.R)
     return ImpedanceChannel(ch.z_ds, ch.z_dr @ inv_sq * root_r, root_r * inv_sq @ ch.z_rs,
                             ch.R * np.eye(ch.n), ch.R)
@@ -143,17 +145,18 @@ def reactance_to_theta(x: np.ndarray, R: float) -> np.ndarray:
     return (1j * x - R) / (1j * x + R)
 
 
-def closed_form_siso(ch: ImpedanceChannel) -> SisoSolution:
+def closed_form_siso(ch: ImpedanceChannel, factors: ArrayFactors | None = None) -> SisoSolution:
     """Globally optimal SISO channel gain of ch behind its power-matching network.
 
     Phase alignment in the decoupled model effective_channel(ch): every
     reflected term is rotated onto the phase of the composite direct term
     z_DS - (1/2R) z_DR'^T z_RS' (reference phase 0 when that term vanishes).
-    SisoSolution.x holds the loads x' of that model.
+    SisoSolution.x holds the loads x' of that model.  factors as in
+    effective_channel.
     """
     if ch.z_ds.shape != (1, 1):
         raise InvalidArgumentError("closed_form_siso requires K = M = 1")
-    eff = effective_channel(ch)
+    eff = effective_channel(ch, factors)
     prod = eff.z_dr[0, :] * eff.z_rs[:, 0]
     direct = complex(eff.z_ds[0, 0]) - prod.sum() / (2.0 * eff.R)
     amp = abs(direct) + np.abs(prod).sum() / (2.0 * eff.R)
@@ -162,15 +165,16 @@ def closed_form_siso(ch: ImpedanceChannel) -> SisoSolution:
     return SisoSolution(gain=float(amp**2), theta=theta, x=theta_to_reactance(theta, eff.R))
 
 
-def array_gain(s: Scenario) -> float:
+def array_gain(s: Scenario, factors: ArrayFactors | None = None) -> float:
     """Decoupled channel gain of the LOS scenario, normalized by the single-element gain.
 
     A = 1/4 (|a_DR^T C^{-1} a_RS| + sum_n |a_DR^T C^{-1/2} e_n| |e_n^T C^{-1/2} a_RS|)^2
-    with C = Re(Z_R)/R (+ gamma I under Ohmic loss).
+    with C = Re(Z_R)/R (+ gamma I under Ohmic loss).  factors, if given, are
+    those of the scenario's array, shared by all scenarios of that array.
     """
     if s.spacing < MIN_SPACING:
         raise InvalidArgumentError(
             f"spacing {s.spacing} below {MIN_SPACING}: coupling matrix too ill-conditioned "
             "(closed_form_siso does not check)"
         )
-    return closed_form_siso(build_los_scenario(s)).gain / single_element_gain(s)
+    return closed_form_siso(build_los_scenario(s), factors).gain / single_element_gain(s)

@@ -85,8 +85,10 @@ class RankOneContext:
     G is held as g0 - p[:k]^T q[:k]: the stored inverse less the k rank-one
     updates made since the last block product (the delayed update of McDaniel
     et al., J. Chem. Phys. 2017).  u = Z_DR G, v = G Z_RS and
-    z_bar = Z_DS - Z_DR G Z_RS are kept current by apply_update.  On a scalar
-    context (K = M = 1) the per-element math runs on Python complex numbers.
+    z_bar = Z_DS - Z_DR G Z_RS are kept current by apply_update.  dense is
+    True while G is the dense inverse at x made by init_context or refactor,
+    with no update since.  On a scalar context (K = M = 1) the per-element math
+    runs on Python complex numbers.
     """
 
     def __init__(self, ch: ImpedanceChannel, z_inv: np.ndarray, x: np.ndarray):
@@ -112,7 +114,7 @@ class RankOneContext:
     @z_inv.setter
     def z_inv(self, g: np.ndarray) -> None:
         """Replace G; u, v and z_bar are recomputed from it."""
-        self.g0, self.k = g, 0
+        self.g0, self.k, self.dense = g, 0, False
         self.u = self.ch.z_dr @ g
         self.v = g @ self.ch.z_rs
         self.z_bar = self.ch.z_ds - self.u @ self.ch.z_rs
@@ -141,7 +143,9 @@ class ThetaResult(NamedTuple):
 
 def init_context(ch: ImpedanceChannel, state: RisState) -> RankOneContext:
     """Dense-inverse initialization of the update cache."""
-    return RankOneContext(ch, checked_inverse(loading_matrix(ch, state)), state.x.copy())
+    ctx = RankOneContext(ch, checked_inverse(loading_matrix(ch, state)), state.x.copy())
+    ctx.dense = True
+    return ctx
 
 
 def element_params(ctx: RankOneContext, n: int) -> ElementParams:
@@ -245,6 +249,7 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
         ctx.v -= fc[:, None] * b_prime_h
     ctx.k = k + 1
     ctx.x[n] += dx
+    ctx.dense = False
     if ctx.k == BLOCK:
         ctx.flush()
 
@@ -252,6 +257,7 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
 def refactor(ctx: RankOneContext) -> None:
     """Dense re-inversion to contain rank-one roundoff drift."""
     ctx.z_inv = checked_inverse(loading_matrix(ctx.ch, RisState(ctx.x)))
+    ctx.dense = True
 
 
 @dataclass
@@ -384,8 +390,10 @@ class _SisoAccelerator:
         if not self.radius:
             return None
         try:
-            # from a fresh inverse, so the rank-one drift does not enter the step
-            y_crest, crest = self._to_crest(init_context(ctx.ch, RisState(ctx.x)), y)
+            # from a fresh inverse, so the rank-one drift does not enter the step;
+            # a dense ctx already is one, as init_context would make it
+            fresh = ctx if ctx.dense else init_context(ctx.ch, RisState(ctx.x))
+            y_crest, crest = self._to_crest(fresh, y)
             grad, hess = self._derivatives(crest)
             s = trust_region_step(grad, hess, self.radius)
             _, trial = self._to_crest(self._context(ctx.ch, y_crest + s), y_crest + s)

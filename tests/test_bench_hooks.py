@@ -1,17 +1,51 @@
 """The benchmark's per-layer tracer (bench/tracing.py) wraps package functions by
-module and name; a renamed or deleted function would break `bench/run.py --trace 1`."""
+module and name; a renamed or deleted function would break `bench/run.py --trace 1`,
+and one the sweep no longer calls would leave its per-layer spans at zero."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from riscoupling import parse_config, run_sweep
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_traced_functions_resolve():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_resolve():
+    tracing = load_tracing()
     missing = [f"{mod}.{func}" for mod, func in tracing.TRACED
                if not callable(getattr(importlib.import_module(f"riscoupling.{mod}"), func, None))]
     assert tracing.TRACED and not missing
+
+
+def test_sweep_reaches_traced_closed_forms(tmp_path):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_sweep(parse_config("""
+N = 4
+spacing = 0.25
+angles = front-fire; end-fire; corner
+methods = Decoupled, IgnoreMC
+"""))
+    finally:
+        tracer.uninstall()
+    tracer.save(tmp_path / "spans.npz")
+    spans = np.load(tmp_path / "spans.npz")
+    calls = Counter(str(spans["names"][i]) for i in spans["name"])
+    # one array: its whitening is made once for the three Decoupled rows
+    assert calls["decoupling.array_gain"] == 3
+    assert calls["baselines.ignore_mc_gain"] == 3
+    assert calls["channel.psd_inv_sqrt"] == 1
+    assert calls["channel.build_los_scenario"] == 6

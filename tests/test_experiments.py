@@ -4,8 +4,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riscoupling import MethodId, RisState, Scenario, build_los_scenario, optimize
+from riscoupling import (
+    ArrayFactors,
+    MethodId,
+    RisState,
+    Scenario,
+    array_gain,
+    build_los_scenario,
+    experiments,
+    ignore_mc_gain,
+    optimize,
+)
+from riscoupling import channel as channel_module
 from riscoupling.cli import main
+from riscoupling.errors import NotPSDError, NumericallySingularError
 from riscoupling.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -136,6 +148,98 @@ methods = ElementWise
         spec = parse_config(MINIMAL)
         r = run_sweep(spec)[0]
         assert r.array_gain_db == pytest.approx(10 * np.log10(r.array_gain))
+
+
+# two spacings x two loss values: four arrays, each with three angle pairs
+SHARED_ARRAYS = """
+N = 3
+spacing = 0.25, 0.5
+gamma_loss = 0, 0.1
+angles = front-fire; end-fire; corner
+methods = Decoupled, IgnoreMC
+"""
+
+
+class TestArraySharing:
+    """run_sweep factorises each array once and shares the factors across its angle pairs."""
+
+    def test_one_factorisation_per_array_per_call(self, monkeypatch):
+        calls = {"psd_inv_sqrt": 0, "checked_inverse": 0}
+        for name in calls:
+            def counted(z, _name=name, _original=getattr(channel_module, name)):
+                calls[_name] += 1
+                return _original(z)
+            monkeypatch.setattr(channel_module, name, counted)
+        spec = parse_config(SHARED_ARRAYS)
+        for sweeps in (1, 2):
+            assert len(run_sweep(spec)) == 24
+            assert calls == {"psd_inv_sqrt": 4 * sweeps, "checked_inverse": 4 * sweeps}
+
+    def test_rows_equal_standalone_gains(self, monkeypatch):
+        seen = []
+        for name, gain in (("array_gain", array_gain), ("ignore_mc_gain", ignore_mc_gain)):
+            def recorded(s, factors, _gain=gain):
+                seen.append((s, factors))
+                return _gain(s, factors)
+            monkeypatch.setattr(experiments, name, recorded)
+        records = run_sweep(parse_config(SHARED_ARRAYS))
+        for r in records:
+            s = Scenario(n=r.n, spacing=r.spacing, alpha_tx=r.alpha_tx, alpha_rx=r.alpha_rx,
+                         gamma_loss=r.gamma_loss)
+            standalone = array_gain(s) if r.method == "Decoupled" else ignore_mc_gain(s)
+            assert r.array_gain == standalone
+            assert r.flags == ()
+        # one factors object per array, passed to every row of it, its factors read-only
+        by_array = {}
+        for s, factors in seen:
+            by_array.setdefault((s.spacing, s.gamma_loss), set()).add(id(factors))
+            z_r = build_los_scenario(s).z_r
+            for shared in (factors.inverse(z_r), factors.re_inv_sqrt(z_r)):
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[0, 0] = 0.0
+        assert len(seen) == 24 and len(by_array) == 4
+        assert all(len(ids) == 1 for ids in by_array.values())
+        assert len(set.union(*by_array.values())) == 4
+
+    def test_factors_kept_read_only(self):
+        z_r = build_los_scenario(Scenario(n=4, spacing=0.25, alpha_tx=0.0, alpha_rx=np.pi)).z_r
+        factors = ArrayFactors()
+        inv, inv_sqrt = factors.inverse(z_r), factors.re_inv_sqrt(z_r)
+        assert factors.inverse(z_r) is inv and factors.re_inv_sqrt(z_r) is inv_sqrt
+        np.testing.assert_allclose(inv @ z_r, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(inv_sqrt @ z_r.real @ inv_sqrt, np.eye(4), atol=1e-12)
+        for shared in (inv, inv_sqrt):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared += 1.0
+
+    def test_failed_factorisation_flags_every_row_of_its_array(self, monkeypatch):
+        checked_inverse, psd_inv_sqrt = channel_module.checked_inverse, channel_module.psd_inv_sqrt
+        calls = []
+
+        def singular(z):
+            calls.append("inverse")
+            if z.shape == (3, 3):
+                raise NumericallySingularError("singular", condition=np.inf)
+            return checked_inverse(z)
+
+        def not_psd(s):
+            calls.append("inv_sqrt")
+            if s.shape == (3, 3):
+                raise NotPSDError("not PSD")
+            return psd_inv_sqrt(s)
+        monkeypatch.setattr(channel_module, "checked_inverse", singular)
+        monkeypatch.setattr(channel_module, "psd_inv_sqrt", not_psd)
+        records = run_sweep(parse_config(SHARED_ARRAYS.replace("N = 3", "N = 2, 3")))
+        assert len(records) == 48
+        for r in records:
+            if r.n == 2:
+                assert r.flags == () and r.array_gain > 0.0
+            else:
+                error = "NotPSDError" if r.method == "Decoupled" else "NumericallySingularError"
+                assert r.flags == (f"error:{error}",) and r.array_gain == 0.0
+        # a factorisation that raised is not kept: each N = 3 row tries again
+        assert calls.count("inverse") == calls.count("inv_sqrt") == 4 + 12
 
 
 def strip_wall_time(text: str) -> list[str]:
