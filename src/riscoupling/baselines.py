@@ -18,7 +18,6 @@ from .channel import (
     steering_vector,
 )
 from .elementwise import (
-    SISO_GAIN,
     OptimizeResult,
     OptimizerConfig,
     RankOneContext,
@@ -40,6 +39,8 @@ class MethodId(str, enum.Enum):
 
 def _reinvert_update(ctx: RankOneContext, n: int, dx: float) -> None:
     """x_n += dx followed by a dense re-inversion of the loading matrix. O(N^3)."""
+    if dx == 0.0:
+        return
     ctx.x[n] += dx
     refactor(ctx)
 
@@ -52,12 +53,9 @@ def naive_elementwise(ch: ImpedanceChannel, x0: RisState,
     included, with dense re-inversion in place of the rank-one update, so it
     has the same contract and the same trajectory up to roundoff (which the
     acceleration step can amplify on badly conditioned runs); it is the
-    trajectory oracle for the rank-one bookkeeping.
+    trajectory oracle for the rank-one bookkeeping, under either objective.
     """
-    cfg = cfg or OptimizerConfig()
-    if cfg.objective != SISO_GAIN:
-        raise InvalidArgumentError("naive reference implements the siso_gain objective only")
-    return coordinate_ascent(ch, x0, cfg, _reinvert_update)
+    return coordinate_ascent(ch, x0, cfg or OptimizerConfig(), _reinvert_update)
 
 
 def grid_search_phase(ch: ImpedanceChannel) -> float:

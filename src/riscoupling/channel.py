@@ -113,8 +113,8 @@ class ImpedanceChannel:
                 f"inconsistent block dimensions: z_ds {z_ds.shape}, "
                 f"z_dr {z_dr.shape}, z_rs {z_rs.shape}, z_r {z_r.shape}"
             )
-        if self.R <= 0:
-            raise InvalidArgumentError("reference resistance must be positive")
+        if not 0.0 < self.R < np.inf:
+            raise InvalidArgumentError("reference resistance must be positive and finite")
         if not np.array_equal(z_r, z_r.T):
             scale = max(np.abs(z_r).max(), 1.0)
             if np.abs(z_r - z_r.T).max() > 1e-9 * scale:

@@ -113,8 +113,8 @@ class RankOneContext:
 
     @z_inv.setter
     def z_inv(self, g: np.ndarray) -> None:
-        """Replace G; u, v and z_bar are recomputed from it."""
-        self.g0, self.k, self.dense = g, 0, False
+        """Replace G with a dense inverse; u, v and z_bar are recomputed from it."""
+        self.g0, self.k, self.dense = g, 0, True
         self.u = self.ch.z_dr @ g
         self.v = g @ self.ch.z_rs
         self.z_bar = self.ch.z_ds - self.u @ self.ch.z_rs
@@ -127,7 +127,7 @@ class RankOneContext:
 class ElementParams(NamedTuple):
     """Per-element update parameters: Z = Z0 + a b^H theta over unit-modulus theta.
 
-    On a scalar context a, b and z0 are numpy complex scalars.
+    On a scalar context a, b and z0 are Python complex numbers.
     """
 
     a: np.ndarray       # K-vector, Z_DR zinv e_n
@@ -136,16 +136,9 @@ class ElementParams(NamedTuple):
     z0: np.ndarray      # K x M
 
 
-class ThetaResult(NamedTuple):
-    theta: complex
-    no_effect: bool
-
-
 def init_context(ch: ImpedanceChannel, state: RisState) -> RankOneContext:
     """Dense-inverse initialization of the update cache."""
-    ctx = RankOneContext(ch, checked_inverse(loading_matrix(ch, state)), state.x.copy())
-    ctx.dense = True
-    return ctx
+    return RankOneContext(ch, checked_inverse(loading_matrix(ch, state)), state.x.copy())
 
 
 def element_params(ctx: RankOneContext, n: int) -> ElementParams:
@@ -162,46 +155,49 @@ def element_params(ctx: RankOneContext, n: int) -> ElementParams:
         )
     if ctx.scalar:
         a, b = ctx.u.item(n), ctx.v.item(n).conjugate() / (2.0 * g.real)
-        c = np.complex128
-        return ElementParams(c(a), c(b), g, c(ctx.z_bar.item() + a * b.conjugate()))
+        return ElementParams(a, b, g, ctx.z_bar.item() + a * b.conjugate())
     a = ctx.u[:, n].copy()
     b = ctx.v[n].conj() / (2.0 * g.real)     # v[n] is the row e_n^T zinv Z_RS
     return ElementParams(a=a, b=b, g=g, z0=ctx.z_bar + a[:, None] * b.conj())
 
 
-def optimal_theta_siso(z0: complex, a: complex, b: complex) -> ThetaResult:
-    """Unit-modulus theta maximizing |z0 + a conj(b) theta| (scalars only)."""
+def optimal_theta_siso(z0: complex, a: complex, b: complex) -> complex:
+    """Unit-modulus theta maximizing |z0 + a conj(b) theta| (scalars only).
+
+    An element with no effect (a = 0 or b = 0) keeps its load: theta = -1.
+    """
     if a == 0 or b == 0:
-        return ThetaResult(1.0 + 0.0j, True)
-    phi = cmath.phase(z0) + cmath.phase(b) - cmath.phase(a)
-    return ThetaResult(cmath.exp(1j * phi), False)
+        return -1.0 + 0.0j
+    return cmath.exp(1j * (cmath.phase(z0) + cmath.phase(b) - cmath.phase(a)))
 
 
 def gram_factors(p: ElementParams) -> tuple[np.ndarray, np.ndarray]:
     """A = I + Z0 (I - b b^H/|b|^2) Z0^H and F = [a |b|, Z0 b/|b|].
 
     Z Z^H = (A - I) + F thetabar thetabar^H F^H with thetabar = [theta, 1]^T.
+    At b = 0 (an element with no effect) b/|b| is taken as 0, so F = 0.
     """
     a, b, z0 = p.a, p.b, p.z0
     if isinstance(z0, complex):             # from a scalar context
         a, b, z0 = np.array([a]), np.array([b]), np.array([[z0]])
     bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        raise InvalidArgumentError("b = 0: element has no effect, Gram split undefined")
-    bu = b / bnorm
+    bu = b / bnorm if bnorm else b
     proj = z0 @ (np.eye(b.size) - np.outer(bu, bu.conj())) @ z0.conj().T
     a_mat = np.eye(z0.shape[0]) + proj
     f = np.column_stack([a * bnorm, z0 @ bu])
     return a_mat, f
 
 
-def optimal_theta_se(a_mat: np.ndarray, f: np.ndarray) -> ThetaResult:
-    """Unit-modulus theta maximizing log2 det(A + F thetabar thetabar^H F^H)."""
+def optimal_theta_se(a_mat: np.ndarray, f: np.ndarray) -> complex:
+    """Unit-modulus theta maximizing log2 det(A + F thetabar thetabar^H F^H).
+
+    When theta has no effect (c12 = 0, as at F = 0) the element keeps its load: theta = -1.
+    """
     c = f.conj().T @ np.linalg.solve(a_mat, f)
     c12 = complex(c[0, 1])
-    if abs(c12) == 0.0:
-        return ThetaResult(1.0 + 0.0j, True)
-    return ThetaResult(c12 / abs(c12), False)
+    if c12 == 0:
+        return -1.0 + 0.0j
+    return c12 / abs(c12)
 
 
 def theta_to_delta_x(theta: complex, g: complex) -> tuple[float, bool]:
@@ -257,7 +253,6 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
 def refactor(ctx: RankOneContext) -> None:
     """Dense re-inversion to contain rank-one roundoff drift."""
     ctx.z_inv = checked_inverse(loading_matrix(ctx.ch, RisState(ctx.x)))
-    ctx.dense = True
 
 
 @dataclass
@@ -272,9 +267,12 @@ class OptimizeResult:
     state: RisState
     trace: np.ndarray
     sweep_ends: np.ndarray
-    sweeps: int
     converged: bool
     saturation_events: int = 0
+
+    @property
+    def sweeps(self) -> int:
+        return self.sweep_ends.size
 
 
 def _objective(cfg: OptimizerConfig, z: np.ndarray) -> float:
@@ -292,8 +290,7 @@ def siso_derivatives(ctx: RankOneContext) -> tuple[np.ndarray, np.ndarray]:
     O(N^2) given the cached inverse.
     """
     g_inv = ctx.z_inv
-    u = ctx.ch.z_dr[0] @ g_inv
-    v = g_inv @ ctx.ch.z_rs[:, 0]
+    u, v = ctx.u[0], ctx.v[:, 0]
     z = complex(ctx.z_bar[0, 0])
     dz = 1j * u * v
     d2z = g_inv * (np.outer(u, v) + np.outer(v, u))
@@ -421,7 +418,9 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
     """The sweep loop shared by optimize and the dense-reinversion reference.
 
     update(ctx, n, dx) applies x_n += dx to the cached inverse and channel: the
-    rank-one lemma (apply_update) or a fresh dense inversion.  Everything else,
+    rank-one lemma (apply_update) or a fresh dense inversion.  Every element
+    takes the same step; one that should not move gets theta = -1 and so
+    dx = 0, which update treats as a no-op.  Everything else,
     including the acceleration step, is common, so both backends follow the
     same trajectory up to roundoff; on badly conditioned runs the acceleration
     step can amplify that roundoff.
@@ -435,23 +434,13 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
     accelerate = _SisoAccelerator(cfg.tol) if cfg.objective == SISO_GAIN else None
     saturations = 0
     converged = False
-    sweeps = 0
     for sweep in range(cfg.max_sweeps):
-        sweeps = sweep + 1
         prev = obj
         for n in range(ch.n):
             p = element_params(ctx, n)
-            if cfg.objective == SISO_GAIN:
-                res = optimal_theta_siso(p.z0, p.a, p.b)
-            else:
-                if np.linalg.norm(p.b) == 0:
-                    res = ThetaResult(1.0 + 0.0j, True)
-                else:
-                    res = optimal_theta_se(*gram_factors(p))
-            if res.no_effect:
-                trace.append(obj)
-                continue
-            dx, saturated = theta_to_delta_x(res.theta, p.g)
+            theta = (optimal_theta_siso(p.z0, p.a, p.b) if cfg.objective == SISO_GAIN
+                     else optimal_theta_se(*gram_factors(p)))
+            dx, saturated = theta_to_delta_x(theta, p.g)
             saturations += int(saturated)
             update(ctx, n, dx)
             obj = _objective(cfg, ctx.z_bar)
@@ -472,7 +461,6 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
         state=RisState(ctx.x.copy()),
         trace=np.asarray(trace),
         sweep_ends=np.asarray(sweep_ends, dtype=int),
-        sweeps=sweeps,
         converged=converged,
         saturation_events=saturations,
     )

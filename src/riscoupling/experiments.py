@@ -238,12 +238,6 @@ def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord
     return records
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(records: list[SweepRecord], path) -> None:
     """Write records with the fixed header, LF endings, shortest round-trip floats."""
     lines = [CSV_HEADER]
@@ -252,14 +246,14 @@ def write_csv(records: list[SweepRecord], path) -> None:
             r.scenario_id,
             r.method,
             str(r.n),
-            _fmt(float(r.spacing)),
-            _fmt(float(r.alpha_tx)),
-            _fmt(float(r.alpha_rx)),
-            _fmt(float(r.gamma_loss)),
+            repr(float(r.spacing)),
+            repr(float(r.alpha_tx)),
+            repr(float(r.alpha_rx)),
+            repr(float(r.gamma_loss)),
             str(r.sweep_index),
-            _fmt(float(r.array_gain)),
-            _fmt(float(r.array_gain_db)),
-            _fmt(float(r.wall_time_s)),
+            repr(float(r.array_gain)),
+            repr(float(r.array_gain_db)),
+            repr(float(r.wall_time_s)),
             ";".join(r.flags),
         ]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

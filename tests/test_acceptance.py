@@ -187,7 +187,7 @@ def test_c09_gram_identity():
             continue
         checked += 1
         theta = np.exp(1j * rng.uniform(-np.pi, np.pi))
-        z = p.z0 + np.outer(p.a, p.b.conj()) * theta
+        z = p.z0 + np.outer(p.a, np.conj(p.b)) * theta
         a_mat, f = gram_factors(p)
         tbar = np.array([theta, 1.0])
         recon = (a_mat - np.eye(k)) + f @ np.outer(tbar, tbar.conj()) @ f.conj().T
@@ -228,9 +228,9 @@ def test_c11_se_closed_form():
         p = element_params(ctx, int(rng.integers(4)))
         if np.linalg.norm(p.b) == 0:
             continue
-        res = optimal_theta_se(*gram_factors(p))
-        se_star = spectral_efficiency(p.z0 + np.outer(p.a, p.b.conj()) * res.theta)
-        rank_one = np.einsum("i,j,t->tij", p.a, p.b.conj(), grid)
+        theta = optimal_theta_se(*gram_factors(p))
+        se_star = spectral_efficiency(p.z0 + np.outer(p.a, np.conj(p.b)) * theta)
+        rank_one = np.einsum("i,j,t->tij", p.a, np.conj(p.b), grid)
         se_grid = max(spectral_efficiency(p.z0 + r) for r in rank_one)
         ok &= se_star >= se_grid - 1e-9
     c.finish(ok)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from riscoupling import (
+    ImpedanceChannel,
     MethodId,
     OptimizerConfig,
     RisState,
     Scenario,
+    build_coupling_matrix,
     build_los_scenario,
     closed_form_siso,
     grid_search_phase,
@@ -63,11 +65,18 @@ class TestNaiveElementwise:
         m = min(fast.trace.size, naive.trace.size)
         np.testing.assert_allclose(fast.trace[:m], naive.trace[:m], rtol=1e-9)
 
-    def test_rejects_se_objective(self):
-        s = Scenario(n=2, spacing=0.3, alpha_tx=0.1, alpha_rx=1.0)
-        with pytest.raises(InvalidArgumentError):
-            naive_elementwise(build_los_scenario(s), RisState.zeros(2),
-                              OptimizerConfig(objective="spectral_efficiency"))
+    def test_spectral_efficiency_trajectory_matches_fast(self):
+        # the dense-reinversion oracle runs the spectral-efficiency objective too
+        rng = np.random.default_rng(250)
+        z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ch = ImpedanceChannel(z(2, 2), 50.0 * z(2, 4), 50.0 * z(4, 2),
+                              build_coupling_matrix(4, 0.3, 50.0), 50.0)
+        cfg = OptimizerConfig(objective="spectral_efficiency")
+        fast = optimize(ch, RisState.zeros(4), cfg)
+        naive = naive_elementwise(ch, RisState.zeros(4), cfg)
+        assert fast.converged and naive.converged
+        assert fast.trace.size == naive.trace.size
+        np.testing.assert_allclose(fast.trace, naive.trace, rtol=1e-9)
 
 
 class TestGridSearchPhase:

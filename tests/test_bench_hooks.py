@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from riscoupling import parse_config, run_sweep
+import riscoupling
+from riscoupling import RisState, Scenario, build_los_scenario, parse_config, run_sweep
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -49,3 +50,29 @@ methods = Decoupled, IgnoreMC
     assert calls["baselines.ignore_mc_gain"] == 3
     assert calls["channel.psd_inv_sqrt"] == 1
     assert calls["channel.build_los_scenario"] == 6
+
+
+def test_optimize_feeds_the_per_update_metrics(tmp_path):
+    # the slow-ridge draw of the acceptance fixture, where the accelerator keeps steps
+    s = Scenario(n=5, spacing=0.16340238753657976, alpha_tx=0.3288973559887411,
+                 alpha_rx=0.6262066822143726, gamma_dr=0.6984385854177759,
+                 gamma_rs=0.8436008778516497)
+    ch = build_los_scenario(s)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        mark = tracer.mark()
+        res = riscoupling.elementwise.optimize(ch, RisState.zeros(s.n))
+        metrics = tracer.round_metrics(mark)
+    finally:
+        tracer.uninstall()
+    steps = s.n * res.sweeps
+    assert metrics["elementwise.updates"] == steps
+    assert metrics["elementwise.accel.kept"] == res.trace.size - 1 - steps > 0
+    tracer.save(tmp_path / "spans.npz")
+    spans = np.load(tmp_path / "spans.npz")
+    calls = Counter(str(spans["names"][i]) for i in spans["name"])
+    assert calls["elementwise.optimal_theta_siso"] == steps
+    assert calls["elementwise.theta_to_delta_x"] == steps
+    assert calls["elementwise.objective"] >= steps + 1

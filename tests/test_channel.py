@@ -263,3 +263,10 @@ class TestStateValidation:
         z_r = np.array([[50.0, 1.0], [2.0, 50.0]], dtype=complex)
         with pytest.raises(InvalidArgumentError):
             ImpedanceChannel(np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((2, 1)), z_r, 50.0)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 0.0, -50.0])
+    def test_channel_rejects_nonpositive_or_nonfinite_r(self, r):
+        # a NaN R would otherwise give NaN gains and a run reported as converged
+        with pytest.raises(InvalidArgumentError, match="reference resistance"):
+            ImpedanceChannel(np.zeros((1, 1)), np.ones((1, 2)), np.ones((2, 1)),
+                             50.0 * np.eye(2), r)

@@ -81,7 +81,7 @@ class TestElementParams:
         ctx = init_context(ch, RisState(x))
         for n in range(5):
             p = element_params(ctx, n)
-            z = p.z0 + np.outer(p.a, p.b.conj()) * (-1.0)
+            z = p.z0 + np.outer(p.a, np.conj(p.b)) * (-1.0)
             assert np.allclose(z, evaluate_channel(ch, RisState(x)), rtol=1e-10)
 
     def test_symmetric_scenario_equal_params(self):
@@ -104,18 +104,19 @@ class TestElementParams:
 
 class TestOptimalThetaSiso:
     def test_aligned_reals(self):
-        res = optimal_theta_siso(1.0, 1.0, 1.0)
-        assert res.theta == pytest.approx(1.0)
-        assert abs(1.0 + 1.0 * np.conj(1.0) * res.theta) ** 2 == pytest.approx(4.0)
+        theta = optimal_theta_siso(1.0, 1.0, 1.0)
+        assert theta == pytest.approx(1.0)
+        assert abs(1.0 + 1.0 * np.conj(1.0) * theta) ** 2 == pytest.approx(4.0)
 
     def test_quarter_turn(self):
-        res = optimal_theta_siso(1j, 1.0, 1.0)
-        assert np.angle(res.theta) == pytest.approx(np.pi / 2)
+        theta = optimal_theta_siso(1j, 1.0, 1.0)
+        assert np.angle(theta) == pytest.approx(np.pi / 2)
 
     def test_no_effect_flag(self):
-        res = optimal_theta_siso(2.0, 0.0, 1.0)
-        assert res.no_effect
-        assert res.theta == 1.0
+        # an element with no effect keeps its load: theta = -1, so dx = 0
+        theta = optimal_theta_siso(2.0, 0.0, 1.0)
+        assert theta == -1.0
+        assert theta_to_delta_x(theta, 0.02 + 0.001j) == (0.0, False)
 
     def test_beats_dense_phase_grid(self):
         rng = np.random.default_rng(14)
@@ -123,22 +124,29 @@ class TestOptimalThetaSiso:
         for _ in range(20):
             z0, a, b = (complex(rng.standard_normal() + 1j * rng.standard_normal())
                         for _ in range(3))
-            res = optimal_theta_siso(z0, a, b)
+            theta = optimal_theta_siso(z0, a, b)
             best_grid = np.max(np.abs(z0 + a * np.conj(b) * grid))
-            assert abs(z0 + a * np.conj(b) * res.theta) >= best_grid - 1e-12
+            assert abs(z0 + a * np.conj(b) * theta) >= best_grid - 1e-12
 
 
 class TestOptimalThetaSe:
+    def test_zero_b_has_no_effect(self):
+        # b = 0: b/|b| is taken as 0, so F = 0, c12 = 0 and the element keeps its load
+        p = elementwise.ElementParams(a=np.array([1.0 + 1j, 2.0]), b=np.zeros(2, dtype=complex),
+                                      g=0.02 + 0j, z0=np.array([[1.0, 2j], [0.5, 1.0]]))
+        a_mat, f = gram_factors(p)
+        assert np.array_equal(f, np.zeros((2, 2)))
+        np.testing.assert_allclose(a_mat, np.eye(2) + p.z0 @ p.z0.conj().T)
+        assert optimal_theta_se(a_mat, f) == -1.0
+
     def test_positive_real_c12(self):
         f = np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]], dtype=complex)
-        res = optimal_theta_se(np.eye(2, dtype=complex), f)
-        assert res.theta == pytest.approx(1.0)
+        assert optimal_theta_se(np.eye(2, dtype=complex), f) == pytest.approx(1.0)
 
     def test_imaginary_c12(self):
         # C = F^H F with c12 = -0.3j
         f = np.array([[1.0, -0.3j], [0.0, 1.0]], dtype=complex)
-        res = optimal_theta_se(np.eye(2, dtype=complex), f)
-        assert res.theta == pytest.approx(-1j)
+        assert optimal_theta_se(np.eye(2, dtype=complex), f) == pytest.approx(-1j)
 
     def test_beats_theta_grid(self):
         rng = np.random.default_rng(15)
@@ -149,10 +157,10 @@ class TestOptimalThetaSe:
             ctx = init_context(ch, RisState(x))
             p = element_params(ctx, int(rng.integers(4)))
             a_mat, f = gram_factors(p)
-            res = optimal_theta_se(a_mat, f)
-            se_star = spectral_efficiency(p.z0 + np.outer(p.a, p.b.conj()) * res.theta)
+            theta = optimal_theta_se(a_mat, f)
+            se_star = spectral_efficiency(p.z0 + np.outer(p.a, np.conj(p.b)) * theta)
             se_grid = max(
-                spectral_efficiency(p.z0 + np.outer(p.a, p.b.conj()) * t) for t in grid[::36]
+                spectral_efficiency(p.z0 + np.outer(p.a, np.conj(p.b)) * t) for t in grid[::36]
             )
             assert se_star >= se_grid - 1e-10
 
@@ -323,6 +331,32 @@ class TestOptimize:
             OptimizerConfig(objective="nope")
 
 
+class TestNoEffectElement:
+    """On an uncoupled array (Z_R = R I) an element whose Z_DR column (SISO) or
+    Z_RS row (SE) is zero cannot change the channel.  It takes the common step
+    with theta = -1, so dx = 0: its reactance stays 0 and its trace entry
+    repeats the one before it."""
+
+    @pytest.mark.parametrize("runner", [optimize, naive_elementwise])
+    @pytest.mark.parametrize("objective", ["siso_gain", SPECTRAL_EFFICIENCY])
+    def test_element_stays_put(self, runner, objective):
+        rng = np.random.default_rng(28)
+        n, dead = 4, 1
+        k = m = 1 if objective == "siso_gain" else 2
+        z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z_dr, z_rs = 50.0 * z(k, n), 50.0 * z(n, m)
+        if objective == "siso_gain":
+            z_dr[:, dead] = 0.0
+        else:
+            z_rs[dead] = 0.0
+        ch = ImpedanceChannel(z(k, m), z_dr, z_rs, 50.0 * np.eye(n), 50.0)
+        res = runner(ch, RisState.zeros(n), OptimizerConfig(objective=objective))
+        assert res.state.x[dead] == 0.0
+        assert np.all(np.delete(res.state.x, dead) != 0.0)
+        starts = np.concatenate([[1], res.sweep_ends[:-1] + 1])
+        assert np.array_equal(res.trace[starts + dead], res.trace[starts + dead - 1])
+
+
 class TestGramIdentity:
     def test_identity_holds_for_random_instances(self):
         rng = np.random.default_rng(23)
@@ -337,7 +371,7 @@ class TestGramIdentity:
             if np.linalg.norm(p.b) == 0:
                 continue
             theta = np.exp(1j * rng.uniform(-np.pi, np.pi))
-            z = p.z0 + np.outer(p.a, p.b.conj()) * theta
+            z = p.z0 + np.outer(p.a, np.conj(p.b)) * theta
             a_mat, f = gram_factors(p)
             tbar = np.array([theta, 1.0])
             recon = (a_mat - np.eye(k)) + f @ np.outer(tbar, tbar.conj()) @ f.conj().T
