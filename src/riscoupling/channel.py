@@ -7,9 +7,17 @@ with Z_N = j diag(x) the adjustable lossless single-connected load.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy's private module of the LAPACK gufuncs behind np.linalg.solve and
+# np.linalg.slogdet.  Called directly on the spectral-efficiency step's small
+# complex matrices (K <= 4 in practice) they run the same arithmetic without
+# the wrappers' argument checks, which cost several times the LAPACK call at
+# that size.  tests/test_elementwise.py checks them against the wrappers.
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     InvalidArgumentError,
@@ -26,6 +34,9 @@ PINV_EIG_FLOOR = 1e-12
 
 # Symmetric-roundoff tolerance when checking PSD-ness.
 PSD_TOL = 1e-8
+
+# Nats per bit: spectral_efficiency divides a natural-log determinant by it.
+LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -115,11 +126,15 @@ class ImpedanceChannel:
             )
         if not 0.0 < self.R < np.inf:
             raise InvalidArgumentError("reference resistance must be positive and finite")
+        blocks = (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs), ("z_r", z_r))
+        for name, block in blocks:
+            if not np.all(np.isfinite(block)):
+                raise InvalidArgumentError(f"{name} must be finite")
         if not np.array_equal(z_r, z_r.T):
             scale = max(np.abs(z_r).max(), 1.0)
             if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
                 raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
-        for name, block in (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs), ("z_r", z_r)):
+        for name, block in blocks:
             object.__setattr__(self, name, block)
 
     @property
@@ -252,6 +267,12 @@ def voltage_transfer(z: np.ndarray, R: float) -> np.ndarray:
     return np.asarray(z) / (4.0 * R)
 
 
+@functools.lru_cache(maxsize=16)
+def identity(k: int) -> np.ndarray:
+    """The k x k real identity, made once per size and read-only: add it out of place."""
+    return _read_only(np.eye(k))
+
+
 def channel_gain(z: np.ndarray) -> float:
     """|z|^2 for SISO; squared Frobenius norm in general."""
     return float(np.sum(np.abs(np.asarray(z)) ** 2))
@@ -259,10 +280,10 @@ def channel_gain(z: np.ndarray) -> float:
 
 def spectral_efficiency(z: np.ndarray) -> float:
     """log2 det(I + Z Z^H) in bits."""
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    gram = np.eye(z.shape[0]) + z @ z.conj().T
-    sign, logdet = np.linalg.slogdet(gram)
-    return float(logdet / np.log(2.0))
+    if not (type(z) is np.ndarray and z.ndim == 2 and z.dtype == complex):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+    gram = identity(z.shape[0]) + z @ z.conj().T
+    return float(_umath_linalg.slogdet(gram, signature="D->Dd")[1] / LOG2)
 
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:

@@ -21,12 +21,14 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg     # see channel.py
 
 from .channel import (
     ImpedanceChannel,
     RisState,
     channel_gain,
     checked_inverse,
+    identity,
     loading_matrix,
     spectral_efficiency,
 )
@@ -157,8 +159,8 @@ def element_params(ctx: RankOneContext, n: int) -> ElementParams:
         a, b = ctx.u.item(n), ctx.v.item(n).conjugate() / (2.0 * g.real)
         return ElementParams(a, b, g, ctx.z_bar.item() + a * b.conjugate())
     a = ctx.u[:, n].copy()
-    b = ctx.v[n].conj() / (2.0 * g.real)     # v[n] is the row e_n^T zinv Z_RS
-    return ElementParams(a=a, b=b, g=g, z0=ctx.z_bar + a[:, None] * b.conj())
+    b_h = ctx.v[n] / (2.0 * g.real)     # v[n] is the row e_n^T zinv Z_RS
+    return ElementParams(a=a, b=b_h.conj(), g=g, z0=ctx.z_bar + a[:, None] * b_h)
 
 
 def optimal_theta_siso(z0: complex, a: complex, b: complex) -> complex:
@@ -180,11 +182,16 @@ def gram_factors(p: ElementParams) -> tuple[np.ndarray, np.ndarray]:
     a, b, z0 = p.a, p.b, p.z0
     if isinstance(z0, complex):             # from a scalar context
         a, b, z0 = np.array([a]), np.array([b]), np.array([[z0]])
-    bnorm = np.linalg.norm(b)
+    br, bi = b.real, b.imag
+    bnorm = math.sqrt(br.dot(br) + bi.dot(bi))      # np.linalg.norm(b), same arithmetic
     bu = b / bnorm if bnorm else b
-    proj = z0 @ (np.eye(b.size) - np.outer(bu, bu.conj())) @ z0.conj().T
-    a_mat = np.eye(z0.shape[0]) + proj
-    f = np.column_stack([a * bnorm, z0 @ bu])
+    # np.outer's own product: with a 1-D right operand numpy takes a loop that
+    # rounds differently when M = 1
+    proj = z0 @ (identity(b.size) - bu[:, None] * bu.conj()[None, :]) @ z0.conj().T
+    a_mat = identity(z0.shape[0]) + proj
+    f = np.empty((z0.shape[0], 2), dtype=complex)
+    f[:, 0] = a * bnorm
+    f[:, 1] = z0 @ bu
     return a_mat, f
 
 
@@ -193,8 +200,8 @@ def optimal_theta_se(a_mat: np.ndarray, f: np.ndarray) -> complex:
 
     When theta has no effect (c12 = 0, as at F = 0) the element keeps its load: theta = -1.
     """
-    c = f.conj().T @ np.linalg.solve(a_mat, f)
-    c12 = complex(c[0, 1])
+    # np.linalg.solve's own gufunc; A >= I is never singular
+    c12 = (f.conj().T @ _umath_linalg.solve(a_mat, f, signature="DD->D")).item(0, 1)
     if c12 == 0:
         return -1.0 + 0.0j
     return c12 / abs(c12)
@@ -240,7 +247,7 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
         ctx.v[:, 0] -= b_prime_h * fc
     else:
         a, b_prime_h = ctx.u[:, n, None], ctx.v[n]      # each product is taken before its update
-        ctx.z_bar = ctx.z_bar + factor * (a * b_prime_h)
+        ctx.z_bar += factor * (a * b_prime_h)
         ctx.u -= a * fc
         ctx.v -= fc[:, None] * b_prime_h
     ctx.k = k + 1

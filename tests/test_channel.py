@@ -264,6 +264,16 @@ class TestStateValidation:
         with pytest.raises(InvalidArgumentError):
             ImpedanceChannel(np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((2, 1)), z_r, 50.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("block", ["z_ds", "z_dr", "z_rs", "z_r"])
+    def test_channel_rejects_nonfinite_blocks(self, block, value):
+        # one NaN would otherwise run the optimizer on NaN until a refactor failed
+        blocks = dict(z_ds=np.zeros((1, 1), dtype=complex), z_dr=np.ones((1, 2), dtype=complex),
+                      z_rs=np.ones((2, 1), dtype=complex), z_r=50.0 * np.eye(2, dtype=complex))
+        blocks[block][0, 0] = value
+        with pytest.raises(InvalidArgumentError, match=f"{block} must be finite"):
+            ImpedanceChannel(**blocks, R=50.0)
+
     @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 0.0, -50.0])
     def test_channel_rejects_nonpositive_or_nonfinite_r(self, r):
         # a NaN R would otherwise give NaN gains and a run reported as converged

@@ -379,6 +379,83 @@ class TestGramIdentity:
             assert np.linalg.norm(gram - recon) <= 1e-10 * np.linalg.norm(gram)
 
 
+class TestSeStepBitForBit:
+    """The spectral-efficiency element step and objective against their first
+    written form (np.eye, np.outer, np.column_stack, np.linalg.norm,
+    np.atleast_2d): a rewrite for speed must not move a single bit of the SE
+    trajectory."""
+
+    @staticmethod
+    def params(ctx, n):
+        g = complex(ctx.g0[n, n] - ctx.p[:ctx.k, n] @ ctx.q[:ctx.k, n])
+        a = ctx.u[:, n].copy()
+        b = ctx.v[n].conj() / (2.0 * g.real)
+        return elementwise.ElementParams(a=a, b=b, g=g, z0=ctx.z_bar + a[:, None] * b.conj())
+
+    @staticmethod
+    def gram(p):
+        a, b, z0 = p.a, p.b, p.z0
+        if isinstance(z0, complex):
+            a, b, z0 = np.array([a]), np.array([b]), np.array([[z0]])
+        bnorm = np.linalg.norm(b)
+        bu = b / bnorm if bnorm else b
+        proj = z0 @ (np.eye(b.size) - np.outer(bu, bu.conj())) @ z0.conj().T
+        return np.eye(z0.shape[0]) + proj, np.column_stack([a * bnorm, z0 @ bu])
+
+    @staticmethod
+    def theta(a_mat, f):
+        c12 = complex((f.conj().T @ np.linalg.solve(a_mat, f))[0, 1])
+        return -1.0 + 0.0j if c12 == 0 else c12 / abs(c12)
+
+    @staticmethod
+    def se(z):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        sign, logdet = np.linalg.slogdet(np.eye(z.shape[0]) + z @ z.conj().T)
+        return float(logdet / np.log(2.0))
+
+    def assert_step_matches(self, p):
+        a_mat, f = gram_factors(p)
+        want_a, want_f = self.gram(p)
+        assert np.array_equal(a_mat, want_a) and np.array_equal(f, want_f)
+        assert optimal_theta_se(a_mat, f) == self.theta(want_a, want_f)
+
+    def test_random_contexts(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            k, m = (int(v) for v in rng.integers(1, 5, size=2))
+            n = int(rng.integers(2, 9))
+            ch = random_channel(rng, n, k=k, m=m, spacing=float(rng.uniform(0.15, 0.5)))
+            ctx = init_context(ch, RisState(rng.uniform(-100, 100, n)))
+            for _ in range(int(rng.integers(0, 4))):       # leave some updates pending
+                apply_update(ctx, int(rng.integers(n)), float(rng.uniform(-30, 30)))
+            e = int(rng.integers(n))
+            p = element_params(ctx, e)
+            if not ctx.scalar:
+                want = self.params(ctx, e)
+                assert p.g == want.g
+                assert all(np.array_equal(got, w) for got, w in zip(p, want))
+            self.assert_step_matches(p)             # scalar contexts take gram_factors' scalar branch
+            z = ctx.z_bar
+            assert spectral_efficiency(z) == self.se(z)
+            assert spectral_efficiency(p.z0) == self.se(p.z0)
+
+    def test_zero_b(self):
+        p = elementwise.ElementParams(a=np.array([1.0 + 1j, 2.0]), b=np.zeros(3, dtype=complex),
+                                      g=0.02 + 0j, z0=np.array([[1.0, 2j, 0.5], [0.5, 1.0, -1j]]))
+        self.assert_step_matches(p)
+        self.assert_step_matches(elementwise.ElementParams(a=0.5 - 1j, b=0j, g=0.02 + 0j, z0=2j + 1))
+
+    @pytest.mark.parametrize("z", [
+        [[1.0, 2j], [0.5, -1.0]],                   # list
+        np.array([[1.5, -2.0], [0.25, 3.0]]),       # real
+        np.array([1.0 - 1j, 2j, 0.5]),              # 1-D
+        3.0 - 4j,                                   # scalar
+        np.arange(12.0).reshape(3, 4).T * (1 + 1j),    # complex, Fortran order
+    ])
+    def test_spectral_efficiency_inputs(self, z):
+        assert spectral_efficiency(z) == self.se(z)
+
+
 def _gain_at(ch, x):
     return channel_gain(evaluate_channel(ch, RisState(x)))
 
