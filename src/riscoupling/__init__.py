@@ -15,7 +15,6 @@ from .channel import (
     single_element_gain,
     spectral_efficiency,
     steering_vector,
-    voltage_transfer,
 )
 from .decoupling import (
     DecouplingNetwork,

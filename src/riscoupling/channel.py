@@ -17,14 +17,10 @@ import numpy as np
 # complex matrices (K <= 4 in practice) they run the same arithmetic without
 # the wrappers' argument checks, which cost several times the LAPACK call at
 # that size.  tests/test_elementwise.py checks them against the wrappers.
+# solve_small and spectral_efficiency are the package's only calls into it.
 from numpy.linalg import _umath_linalg
 
-from .errors import (
-    InvalidArgumentError,
-    NotPSDError,
-    NumericallySingularError,
-    UnsupportedConfigurationError,
-)
+from .errors import InvalidArgumentError, NotPSDError, NumericallySingularError
 
 # Reject loading matrices whose 1-norm condition estimate exceeds this.
 CONDITION_LIMIT = 1e14
@@ -52,16 +48,14 @@ class Scenario:
     spacing: float
     alpha_tx: float
     alpha_rx: float
-    m: int = 1
-    k: int = 1
     gamma_dr: float = 1.0
     gamma_rs: float = 1.0
     gamma_loss: float = 0.0
     R: float = 50.0
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.k < 1:
-            raise InvalidArgumentError("n, m, k must be positive integers")
+        if self.n < 1:
+            raise InvalidArgumentError("n must be a positive integer")
         if not np.all(np.isfinite((self.spacing, self.alpha_tx, self.alpha_rx, self.gamma_dr,
                                    self.gamma_rs, self.gamma_loss, self.R))):
             raise InvalidArgumentError("spacing, angles, pathloss, loss and R must be finite")
@@ -182,8 +176,6 @@ def build_los_scenario(s: Scenario) -> ImpedanceChannel:
     steering vectors times R.  A nonzero gamma_loss adds R*gamma to the real
     diagonal of the coupling matrix (Ohmic dissipation resistance).
     """
-    if s.m != 1 or s.k != 1:
-        raise UnsupportedConfigurationError("LOS line scenario constructor is SISO only")
     a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
     a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
     z_dr = np.sqrt(s.gamma_dr) * s.R * a_dr[None, :]
@@ -262,11 +254,6 @@ def single_element_gain(s: Scenario) -> float:
     return s.gamma_dr * s.gamma_rs * s.R**2
 
 
-def voltage_transfer(z: np.ndarray, R: float) -> np.ndarray:
-    """Voltage-transfer channel D = Z / (4R)."""
-    return np.asarray(z) / (4.0 * R)
-
-
 @functools.lru_cache(maxsize=16)
 def identity(k: int) -> np.ndarray:
     """The k x k real identity, made once per size and read-only: add it out of place."""
@@ -276,6 +263,11 @@ def identity(k: int) -> np.ndarray:
 def channel_gain(z: np.ndarray) -> float:
     """|z|^2 for SISO; squared Frobenius norm in general."""
     return float(np.sum(np.abs(np.asarray(z)) ** 2))
+
+
+def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for complex 2-D a and b, without the wrapper's checks."""
+    return _umath_linalg.solve(a, b, signature="DD->D")
 
 
 def spectral_efficiency(z: np.ndarray) -> float:

@@ -21,15 +21,14 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg     # see channel.py
 
 from .channel import (
     ImpedanceChannel,
     RisState,
-    channel_gain,
     checked_inverse,
     identity,
     loading_matrix,
+    solve_small,
     spectral_efficiency,
 )
 from .errors import (
@@ -87,10 +86,8 @@ class RankOneContext:
     G is held as g0 - p[:k]^T q[:k]: the stored inverse less the k rank-one
     updates made since the last block product (the delayed update of McDaniel
     et al., J. Chem. Phys. 2017).  u = Z_DR G, v = G Z_RS and
-    z_bar = Z_DS - Z_DR G Z_RS are kept current by apply_update.  dense is
-    True while G is the dense inverse at x made by init_context or refactor,
-    with no update since.  On a scalar context (K = M = 1) the per-element math
-    runs on Python complex numbers.
+    z_bar = Z_DS - Z_DR G Z_RS are kept current by apply_update.  On a scalar
+    context (K = M = 1) the per-element math runs on Python complex numbers.
     """
 
     def __init__(self, ch: ImpedanceChannel, z_inv: np.ndarray, x: np.ndarray):
@@ -116,7 +113,7 @@ class RankOneContext:
     @z_inv.setter
     def z_inv(self, g: np.ndarray) -> None:
         """Replace G with a dense inverse; u, v and z_bar are recomputed from it."""
-        self.g0, self.k, self.dense = g, 0, True
+        self.g0, self.k = g, 0
         self.u = self.ch.z_dr @ g
         self.v = g @ self.ch.z_rs
         self.z_bar = self.ch.z_ds - self.u @ self.ch.z_rs
@@ -200,8 +197,7 @@ def optimal_theta_se(a_mat: np.ndarray, f: np.ndarray) -> complex:
 
     When theta has no effect (c12 = 0, as at F = 0) the element keeps its load: theta = -1.
     """
-    # np.linalg.solve's own gufunc; A >= I is never singular
-    c12 = (f.conj().T @ _umath_linalg.solve(a_mat, f, signature="DD->D")).item(0, 1)
+    c12 = (f.conj().T @ solve_small(a_mat, f)).item(0, 1)     # A >= I is never singular
     if c12 == 0:
         return -1.0 + 0.0j
     return c12 / abs(c12)
@@ -252,7 +248,6 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
         ctx.v -= fc[:, None] * b_prime_h
     ctx.k = k + 1
     ctx.x[n] += dx
-    ctx.dense = False
     if ctx.k == BLOCK:
         ctx.flush()
 
@@ -284,7 +279,7 @@ class OptimizeResult:
 
 def _objective(cfg: OptimizerConfig, z: np.ndarray) -> float:
     if cfg.objective == SISO_GAIN:
-        r = abs(z.item())           # channel_gain of the 1 x 1 channel
+        r = abs(z.item())           # |z|^2 of the 1 x 1 channel
         return r * r
     return spectral_efficiency(z)
 
@@ -349,8 +344,8 @@ class _SisoAccelerator:
     one backend and not the other.
     """
 
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self, cfg: OptimizerConfig):
+        self.cfg = cfg
         self.radius: float | None = None     # trust radius in y, set on engaging
         self.slow_sweeps = 0
         self.last_y: np.ndarray | None = None
@@ -375,10 +370,12 @@ class _SisoAccelerator:
         y_crest = y - v[:, stiff] @ ((v[:, stiff].T @ grad) / w[stiff])
         return y_crest, self._context(ctx.ch, y_crest)
 
-    def __call__(self, ctx: RankOneContext, prev: float, obj: float) -> float | None:
+    def __call__(self, ctx: RankOneContext, prev: float,
+                 obj: float) -> tuple[float, RankOneContext] | None:
         """Try one step after a sweep that took the objective from prev to obj.
 
-        Returns the new objective if a step was kept, None otherwise.
+        Returns the new objective and the step's dense context if a step was
+        kept, None otherwise.
         """
         y = np.arctan(ctx.x / ctx.ch.R)
         gain = obj - prev
@@ -394,27 +391,24 @@ class _SisoAccelerator:
         if not self.radius:
             return None
         try:
-            # from a fresh inverse, so the rank-one drift does not enter the step;
-            # a dense ctx already is one, as init_context would make it
-            fresh = ctx if ctx.dense else init_context(ctx.ch, RisState(ctx.x))
-            y_crest, crest = self._to_crest(fresh, y)
+            # from a fresh inverse, so the rank-one drift does not enter the step
+            y_crest, crest = self._to_crest(init_context(ctx.ch, RisState(ctx.x)), y)
             grad, hess = self._derivatives(crest)
             s = trust_region_step(grad, hess, self.radius)
             _, trial = self._to_crest(self._context(ctx.ch, y_crest + s), y_crest + s)
         except NumericallySingularError:
             self.radius /= 4.0
             return None
-        new = channel_gain(trial.z_bar)
+        new = _objective(self.cfg, trial.z_bar)
         predicted = float(grad @ s + 0.5 * s @ hess @ s)
-        rho = (new - channel_gain(crest.z_bar)) / predicted if predicted > 0.0 else -1.0
+        rho = (new - _objective(self.cfg, crest.z_bar)) / predicted if predicted > 0.0 else -1.0
         if rho < 0.25:
             self.radius /= 4.0
         elif rho > 0.75 and np.linalg.norm(s) >= 0.99 * self.radius:
             self.radius *= 2.0
-        if new - obj <= self.tol * obj:
+        if new - obj <= self.cfg.tol * obj:
             return None
-        vars(ctx).update(vars(trial))      # the trial's fresh dense state
-        return new
+        return new, trial
 
 
 Update = Callable[[RankOneContext, int, float], None]
@@ -438,7 +432,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
     obj = _objective(cfg, ctx.z_bar)
     trace = [obj]
     sweep_ends = []
-    accelerate = _SisoAccelerator(cfg.tol) if cfg.objective == SISO_GAIN else None
+    accelerate = _SisoAccelerator(cfg) if cfg.objective == SISO_GAIN else None
     saturations = 0
     converged = False
     for sweep in range(cfg.max_sweeps):
@@ -458,7 +452,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
         if accelerate is not None:
             stepped = accelerate(ctx, prev, obj)
             if stepped is not None:
-                obj = stepped
+                obj, ctx = stepped
                 trace.append(obj)
         sweep_ends.append(len(trace) - 1)
         if abs(obj - prev) <= cfg.tol * max(abs(prev), 1e-300):

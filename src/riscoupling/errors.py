@@ -9,10 +9,6 @@ class InvalidArgumentError(RisCouplingError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedConfigurationError(RisCouplingError):
-    """A constructor or solver was asked for a configuration it does not support."""
-
-
 class NumericallySingularError(RisCouplingError):
     """A loading matrix is singular or too ill-conditioned to invert reliably.
 

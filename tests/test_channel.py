@@ -16,13 +16,11 @@ from riscoupling import (
     psd_sqrt,
     spectral_efficiency,
     steering_vector,
-    voltage_transfer,
 )
 from riscoupling.errors import (
     InvalidArgumentError,
     NotPSDError,
     NumericallySingularError,
-    UnsupportedConfigurationError,
 )
 
 
@@ -117,11 +115,6 @@ class TestLosScenario:
         ch = build_los_scenario(s)
         assert np.allclose(ch.z_r - lossless.z_r, 0.1 * 50.0 * np.eye(4))
 
-    def test_mimo_unsupported(self):
-        s = Scenario(n=4, spacing=0.2, alpha_tx=0.0, alpha_rx=np.pi, m=2)
-        with pytest.raises(UnsupportedConfigurationError):
-            build_los_scenario(s)
-
 
 def random_channel(rng, n, k=1, m=1, spacing=0.3):
     z_r = build_coupling_matrix(n, spacing, 50.0)
@@ -174,10 +167,6 @@ class TestEvaluateChannel:
         with pytest.raises(NumericallySingularError) as exc:
             evaluate(ch, RisState.zeros(2))
         assert exc.value.condition is None or exc.value.condition > 1e14
-
-    def test_voltage_transfer_scaling(self):
-        z = np.array([[8.0 + 4.0j]])
-        assert np.allclose(voltage_transfer(z, 50.0), z / 200.0)
 
 
 class TestFiguresOfMerit:

@@ -12,7 +12,7 @@ from riscoupling import (
     evaluate_channel,
     spectral_efficiency,
 )
-from riscoupling import baselines, elementwise
+from riscoupling import elementwise
 from riscoupling.baselines import naive_elementwise
 from riscoupling.decoupling import closed_form_siso
 from riscoupling.elementwise import (
@@ -562,76 +562,27 @@ class TestAccelerationThreshold:
         np.testing.assert_allclose(fast.trace, naive.trace, rtol=1e-9)
 
 
-class TestAcceleratorReuse:
-    """The acceleration step starts from a dense inverse at the sweep's end point.
-    A context that already holds one (after refactor, and always on the
-    dense-reinversion backend) is used as it is; any other gets a fresh
-    init_context.  On the slow-ridge scenario both backends accelerate."""
+class TestAcceleratedContext:
+    """After a kept acceleration step the sweep continues from the step's own
+    dense context, and the trace records that context's objective as the sweep
+    scores every other entry.  On the slow-ridge scenario both backends keep
+    steps."""
 
     SCENARIO = TestSlowRidgeScenario.SCENARIO
 
-    def _attempts(self, monkeypatch, runner) -> list[tuple[str, int]]:
-        """(what last changed the context, init_context calls) per acceleration attempt."""
-        last, attempts, inits = ["init"], [], []
-
-        def init_context_(*args):
-            inits.append(1)
-            return init_context(*args)
-
-        def refactor_(ctx):
-            last[0] = "refactor"
-            refactor(ctx)
-
-        def apply_update_(ctx, n, dx):
-            if dx != 0.0:
-                last[0] = "update"
-            apply_update(ctx, n, dx)
-
-        accelerate = elementwise._SisoAccelerator.__call__
-
-        def accelerate_(self, ctx, prev, obj):
-            before = len(inits)
-            stepped = accelerate(self, ctx, prev, obj)
-            if len(inits) > before:
-                attempts.append((last[0], len(inits) - before))
-            if stepped is not None:
-                last[0] = "step"
-            return stepped
-        monkeypatch.setattr(elementwise, "init_context", init_context_)
-        monkeypatch.setattr(elementwise, "refactor", refactor_)
-        monkeypatch.setattr(elementwise, "apply_update", apply_update_)
-        monkeypatch.setattr(elementwise._SisoAccelerator, "__call__", accelerate_)
-        runner(build_los_scenario(self.SCENARIO), RisState.zeros(self.SCENARIO.n))
-        return attempts
-
-    def test_dense_backend_reuses_every_context(self, monkeypatch):
-        attempts = self._attempts(monkeypatch, naive_elementwise)
-        assert len(attempts) > 10
-        assert all(inits == 3 for _, inits in attempts)
-
-    def test_rank_one_backend_reuses_only_dense_contexts(self, monkeypatch):
-        attempts = self._attempts(monkeypatch, optimize)
-        assert {cause for cause, _ in attempts} >= {"update", "refactor"}
-        for cause, inits in attempts:
-            assert inits == (4 if cause == "update" else 3)
-
     @pytest.mark.parametrize("runner", [optimize, naive_elementwise])
-    def test_reuse_is_bit_identical(self, monkeypatch, runner):
-        ch = build_los_scenario(self.SCENARIO)
-        reused = runner(ch, RisState.zeros(self.SCENARIO.n))
+    def test_kept_step_records_the_objective_of_its_context(self, monkeypatch, runner):
+        n, cfg = self.SCENARIO.n, OptimizerConfig()
+        starts = []         # objective of the context each sweep starts from
 
-        # every acceleration attempt then makes its own init_context
-        def init_context_(*args):
-            ctx = init_context(*args)
-            ctx.dense = False
-            return ctx
-
-        def refactor_(ctx):
-            refactor(ctx)
-            ctx.dense = False
-        monkeypatch.setattr(elementwise, "init_context", init_context_)
-        monkeypatch.setattr(elementwise, "refactor", refactor_)
-        monkeypatch.setattr(baselines, "refactor", refactor_)
-        fresh = runner(ch, RisState.zeros(self.SCENARIO.n))
-        assert fresh.trace.tobytes() == reused.trace.tobytes()
-        assert fresh.state.x.tobytes() == reused.state.x.tobytes()
+        def element_params_(ctx, k):
+            if k == 0:
+                starts.append(elementwise._objective(cfg, ctx.z_bar))
+            return element_params(ctx, k)
+        monkeypatch.setattr(elementwise, "element_params", element_params_)
+        res = runner(build_los_scenario(self.SCENARIO), RisState.zeros(n), cfg)
+        ends = res.sweep_ends
+        kept = np.flatnonzero(np.diff(ends, prepend=0) == n + 1)
+        assert kept.size > 10 and kept[-1] < res.sweeps - 1
+        for k in kept:
+            assert res.trace[ends[k]] == starts[k + 1]
