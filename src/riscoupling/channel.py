@@ -12,15 +12,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# numpy's private module of the LAPACK gufuncs behind np.linalg.solve and
-# np.linalg.slogdet.  Called directly on the spectral-efficiency step's small
-# complex matrices (K <= 4 in practice) they run the same arithmetic without
-# the wrappers' argument checks, which cost several times the LAPACK call at
-# that size.  tests/test_elementwise.py checks them against the wrappers.
-# solve_small and spectral_efficiency are the package's only calls into it.
-from numpy.linalg import _umath_linalg
 
 from .errors import InvalidArgumentError, NotPSDError, NumericallySingularError
+
+# The LAPACK gufuncs behind np.linalg.inv, solve and slogdet, bound once for
+# complex 2-D input.  At the sizes the optimizer works on (N <= 16 in most
+# runs, K, M <= 4) the public wrappers' argument checks cost more than the
+# LAPACK call itself.  They live in numpy's private _umath_linalg; if numpy
+# moves it, the public wrappers make the same LAPACK calls on the same
+# arrays, so every result is the same bit for bit, and only a singular
+# matrix shows the difference: the gufunc returns NaN where the wrapper
+# raises LinAlgError (checked_inverse handles both).
+# tests/test_elementwise.py and tests/test_channel.py check both paths.
+try:
+    import numpy.linalg._umath_linalg as _umath_linalg
+except ImportError:
+    _inv, _solve, _slogdet = np.linalg.inv, np.linalg.solve, np.linalg.slogdet
+    LINALG_PATH = "public numpy.linalg fallback"
+else:
+    _inv = functools.partial(_umath_linalg.inv, signature="D->D")
+    _solve = functools.partial(_umath_linalg.solve, signature="DD->D")
+    _slogdet = functools.partial(_umath_linalg.slogdet, signature="D->Dd")
+    LINALG_PATH = "LAPACK gufuncs"
 
 # Reject loading matrices whose 1-norm condition estimate exceeds this.
 CONDITION_LIMIT = 1e14
@@ -77,7 +90,7 @@ class RisState:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1:
             raise InvalidArgumentError("reactance vector must be one-dimensional")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise InvalidArgumentError("reactances must be finite")
         object.__setattr__(self, "x", x)
 
@@ -186,23 +199,47 @@ def build_los_scenario(s: Scenario) -> ImpedanceChannel:
     return ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, z_r, s.R)
 
 
-def loading_matrix(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
-    """Z_R + j diag(x), the matrix the RIS currents are solved against."""
-    return ch.z_r + 1j * np.diag(state.x)
+def loading_matrix(ch: ImpedanceChannel, x: np.ndarray) -> np.ndarray:
+    """Z_R + j diag(x), the matrix the RIS currents are solved against.
+
+    Rounded as ch.z_r + 1j * np.diag(x), signs of zero included, without the
+    N x N temporaries: adding 0.0 copies Z_R and turns its -0.0 parts into
+    +0.0 as adding 1j * 0.0 does, and the diagonal takes 1j * x.
+    """
+    z = ch.z_r + 0.0
+    z.flat[::ch.n + 1] = ch.z_r.diagonal() + 1j * x
+    return z
+
+
+def _norm1(a: np.ndarray) -> float:
+    """np.linalg.norm(a, 1) of a 2-D array, by the same reductions."""
+    return np.add.reduce(np.abs(a), axis=0).max(initial=0)
+
+
+# The gufunc flags a singular matrix as an invalid operation and returns NaN,
+# which checked_inverse refuses, so the warning is not wanted (np.linalg.inv
+# raises LinAlgError there and ignores the other three flags).  As a
+# decorator np.errstate costs half what it costs as a with-block.
+@np.errstate(all="ignore")
+def _inverse_and_condition(z_load: np.ndarray) -> tuple[np.ndarray, float]:
+    z_inv = _inv(z_load)
+    return z_inv, _norm1(z_load) * _norm1(z_inv)
 
 
 def checked_inverse(z_load: np.ndarray) -> np.ndarray:
-    """Inverse of a loading matrix, refused above CONDITION_LIMIT.
+    """Inverse of a complex loading matrix, refused above CONDITION_LIMIT.
 
     The 1-norm condition number ||A||_1 ||A^{-1}||_1 comes from this one
-    inverse; an exactly singular matrix counts as infinitely ill-conditioned.
+    inverse; an exactly singular matrix counts as infinitely ill-conditioned,
+    whether the LAPACK gufunc returns NaN for it or the public wrapper raises.
     """
     try:
-        z_inv = np.linalg.inv(z_load)
-        cond = np.linalg.norm(z_load, 1) * np.linalg.norm(z_inv, 1)
+        z_inv, cond = _inverse_and_condition(z_load)
     except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        cond = math.inf
+    if not cond <= CONDITION_LIMIT:
+        if math.isnan(cond):
+            cond = math.inf
         raise NumericallySingularError(
             f"loading matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
             condition=cond,
@@ -214,7 +251,7 @@ def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     """End-to-end impedance channel Z = Z_DS - Z_DR (Z_R + j diag(x))^{-1} Z_RS."""
     if state.n != ch.n:
         raise InvalidArgumentError("state length does not match channel")
-    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch, state)) @ ch.z_rs
+    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch, state.x)) @ ch.z_rs
 
 
 class ArrayFactors:
@@ -267,7 +304,7 @@ def channel_gain(z: np.ndarray) -> float:
 
 def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(a, b) for complex 2-D a and b, without the wrapper's checks."""
-    return _umath_linalg.solve(a, b, signature="DD->D")
+    return _solve(a, b)
 
 
 def spectral_efficiency(z: np.ndarray) -> float:
@@ -275,7 +312,7 @@ def spectral_efficiency(z: np.ndarray) -> float:
     if not (type(z) is np.ndarray and z.ndim == 2 and z.dtype == complex):
         z = np.atleast_2d(np.asarray(z, dtype=complex))
     gram = identity(z.shape[0]) + z @ z.conj().T
-    return float(_umath_linalg.slogdet(gram, signature="D->Dd")[1] / LOG2)
+    return float(_slogdet(gram)[1] / LOG2)
 
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:

@@ -55,6 +55,12 @@ ACCEL_WINDOW = 30
 ACCEL_RATIO = 0.9
 ACCEL_STIFF = 1e-2
 
+# The trust-region shift: Newton steps on the secular equation that place the
+# bisection's certified bracket, and the bracket's half-width relative to its
+# centre (see trust_region_step).
+SHIFT_NEWTON_STEPS = 20
+SHIFT_BRACKET = 4e-15
+
 # Sweeps between dense re-inversions that contain the rank-one roundoff drift.
 REFACTOR_EVERY = 10
 
@@ -137,7 +143,7 @@ class ElementParams(NamedTuple):
 
 def init_context(ch: ImpedanceChannel, state: RisState) -> RankOneContext:
     """Dense-inverse initialization of the update cache."""
-    return RankOneContext(ch, checked_inverse(loading_matrix(ch, state)), state.x.copy())
+    return RankOneContext(ch, checked_inverse(loading_matrix(ch, state.x)), state.x.copy())
 
 
 def element_params(ctx: RankOneContext, n: int) -> ElementParams:
@@ -254,7 +260,7 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
 
 def refactor(ctx: RankOneContext) -> None:
     """Dense re-inversion to contain rank-one roundoff drift."""
-    ctx.z_inv = checked_inverse(loading_matrix(ctx.ch, RisState(ctx.x)))
+    ctx.z_inv = checked_inverse(loading_matrix(ctx.ch, ctx.x))
 
 
 @dataclass
@@ -295,9 +301,10 @@ def siso_derivatives(ctx: RankOneContext) -> tuple[np.ndarray, np.ndarray]:
     u, v = ctx.u[0], ctx.v[:, 0]
     z = complex(ctx.z_bar[0, 0])
     dz = 1j * u * v
-    d2z = g_inv * (np.outer(u, v) + np.outer(v, u))
-    grad = 2.0 * np.real(z.conjugate() * dz)
-    hess = 2.0 * np.real(z.conjugate() * d2z + np.outer(dz, dz.conj()))
+    # np.outer(p, q) is p[:, None] * q[None, :], the same product loop
+    d2z = g_inv * (u[:, None] * v[None, :] + v[:, None] * u[None, :])
+    grad = 2.0 * (z.conjugate() * dz).real
+    hess = 2.0 * (z.conjugate() * d2z + dz[:, None] * dz.conj()[None, :]).real
     return grad, hess
 
 
@@ -306,7 +313,23 @@ def trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.n
 
     The Newton step when hess is negative definite and the step fits; otherwise
     the boundary solution s = (mu I - hess)^{-1} grad, with the shift mu found
-    by bisection in the eigenbasis of hess.
+    by bisection in the eigenbasis of hess (eigenvalues w, gt = v^T grad).
+
+    The bisection takes the midpoints of plain bisection on (lo, hi), with its
+    100-step cap, but evaluates |s(mu)| only at those inside a certified
+    bracket (a, b), so the result is plain bisection's bit for bit:
+    - Computed as sqrt(t.t) with t = gt / (mu - w), |s(mu)| does not increase
+      with mu, because each rounded step is monotone: the subtraction, the
+      division and the accumulation of non-negative squares.  So "too long",
+      |s(mu)| > radius, is True below one threshold float and False from it on.
+    - Newton steps on the secular equation 1/|s(mu)| = 1/radius (More &
+      Sorensen, SIAM J. Sci. Stat. Comput. 1983) from
+      mu0 = max(lo, max_i(w_i + |gt_i|/radius)), where |s| >= radius, climb to
+      the root from its left, because 1/|s(mu)| is concave there.
+    - Around the last iterate, a is certified if |s(a)| is too long and b if
+      |s(b)| is not.  Every midpoint <= a is then too long and every midpoint
+      >= b is not, which a comparison decides.  A side whose certificate fails
+      stays at lo or hi, where no midpoint falls.
     """
     w, v = np.linalg.eigh(hess)
     gt = v.T @ grad
@@ -314,14 +337,36 @@ def trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.n
         s = -gt / w
         if math.sqrt(s.dot(s)) <= radius:
             return v @ s
-    lo = max(w[-1], 0.0)
-    hi = lo + math.sqrt(gt.dot(gt)) / radius + np.abs(w).max()   # |s(hi)| <= radius
+
+    def too_long(mu: float) -> bool:
+        t = gt / (mu - w)
+        return math.sqrt(t.dot(t)) > radius
+
+    lo = max(float(w[-1]), 0.0)
+    hi = lo + math.sqrt(gt.dot(gt)) / radius + float(np.abs(w).max())   # |s(hi)| <= radius
+    a, b = lo, hi
+    mu = max(lo, float((w + np.abs(gt) / radius).max()))
+    if mu > w[-1]:          # mu = w[-1] only when gt[-1] = 0, the hard case: |s(mu)| undefined
+        for _ in range(SHIFT_NEWTON_STEPS):
+            d = mu - w
+            s = gt / d
+            ss = float(s.dot(s))
+            if math.sqrt(ss) <= radius:
+                break
+            step = (math.sqrt(ss) / radius - 1.0) * ss / float(s.dot(s / d))
+            mu += step
+            if step <= 1e-16 * mu:
+                break
+        half = SHIFT_BRACKET * mu
+        if lo < mu - half < hi and too_long(mu - half):
+            a = mu - half
+        if lo < mu + half < hi and not too_long(mu + half):
+            b = mu + half
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        t = gt / (mid - w)
-        if math.sqrt(t.dot(t)) > radius:
+        if mid <= a or (mid < b and too_long(mid)):
             lo = mid
         else:
             hi = mid
@@ -359,7 +404,7 @@ class _SisoAccelerator:
         return jac * grad, hess_y
 
     def _context(self, ch: ImpedanceChannel, y: np.ndarray) -> RankOneContext:
-        x = np.clip(ch.R * np.tan(y), -X_MAX, X_MAX)
+        x = np.minimum(np.maximum(ch.R * np.tan(y), -X_MAX), X_MAX)     # np.clip
         return init_context(ch, RisState(x))
 
     def _to_crest(self, ctx: RankOneContext, y: np.ndarray) -> tuple[np.ndarray, RankOneContext]:
@@ -367,7 +412,8 @@ class _SisoAccelerator:
         grad, hess = self._derivatives(ctx)
         w, v = np.linalg.eigh(hess)
         stiff = w < -ACCEL_STIFF * np.abs(w).max()
-        y_crest = y - v[:, stiff] @ ((v[:, stiff].T @ grad) / w[stiff])
+        v_stiff = v[:, stiff]
+        y_crest = y - v_stiff @ ((v_stiff.T @ grad) / w[stiff])
         return y_crest, self._context(ctx.ch, y_crest)
 
     def __call__(self, ctx: RankOneContext, prev: float,
@@ -386,7 +432,7 @@ class _SisoAccelerator:
                 # start from the length of the last sweep's own move; y has
                 # period pi (x = +inf and x = -inf are the same open circuit)
                 move = (y - self.last_y + np.pi / 2) % np.pi - np.pi / 2
-                self.radius = float(np.linalg.norm(move))
+                self.radius = math.sqrt(move.dot(move))          # np.linalg.norm
             self.last_y, self.last_gain = y, gain
         if not self.radius:
             return None
@@ -404,7 +450,7 @@ class _SisoAccelerator:
         rho = (new - _objective(self.cfg, crest.z_bar)) / predicted if predicted > 0.0 else -1.0
         if rho < 0.25:
             self.radius /= 4.0
-        elif rho > 0.75 and np.linalg.norm(s) >= 0.99 * self.radius:
+        elif rho > 0.75 and math.sqrt(s.dot(s)) >= 0.99 * self.radius:
             self.radius *= 2.0
         if new - obj <= self.cfg.tol * obj:
             return None

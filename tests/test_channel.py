@@ -1,10 +1,20 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riscoupling
 from riscoupling import (
     ImpedanceChannel,
+    OptimizerConfig,
     RisState,
     Scenario,
     build_coupling_matrix,
@@ -12,11 +22,14 @@ from riscoupling import (
     channel_gain,
     evaluate_channel,
     init_context,
+    optimize,
     psd_inv_sqrt,
     psd_sqrt,
     spectral_efficiency,
     steering_vector,
 )
+from riscoupling.channel import LINALG_PATH, checked_inverse, loading_matrix
+from riscoupling.elementwise import X_MAX
 from riscoupling.errors import (
     InvalidArgumentError,
     NotPSDError,
@@ -167,6 +180,136 @@ class TestEvaluateChannel:
         with pytest.raises(NumericallySingularError) as exc:
             evaluate(ch, RisState.zeros(2))
         assert exc.value.condition is None or exc.value.condition > 1e14
+
+
+def singular_channel():
+    """Z_R with a rank-deficient real part: Z_R + j diag(0) is singular."""
+    return ImpedanceChannel([[0.0]], [[50.0, 50.0]], [[50.0], [50.0]],
+                            np.full((2, 2), 50.0, dtype=complex), 50.0)
+
+
+class TestDenseInverseBitForBit:
+    """checked_inverse and loading_matrix against their first written form
+    (np.linalg.inv, np.linalg.norm(., 1), z_r + 1j * np.diag(x)), bit for bit."""
+
+    @staticmethod
+    def inverse(z_load):
+        """The inverse and the condition estimate, or (None, inf) if singular."""
+        try:
+            z_inv = np.linalg.inv(z_load)
+            return z_inv, np.linalg.norm(z_load, 1) * np.linalg.norm(z_inv, 1)
+        except np.linalg.LinAlgError:
+            return None, np.inf
+
+    def assert_inverse_matches(self, z_load):
+        want, cond = self.inverse(z_load)
+        if cond <= 1e14:
+            assert checked_inverse(z_load).tobytes() == want.tobytes()
+        else:
+            with pytest.raises(NumericallySingularError) as exc:
+                checked_inverse(z_load)
+            assert exc.value.condition == cond
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            n = int(rng.integers(1, 17))
+            a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            self.assert_inverse_matches(a * 10.0 ** rng.uniform(-3, 3))
+        self.assert_inverse_matches(a.T)            # a Fortran-ordered view
+
+    def test_loading_matrices(self):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            n = int(rng.integers(1, 17))
+            ch = random_channel(rng, n, spacing=float(rng.uniform(0.05, 0.5)))
+            self.assert_inverse_matches(loading_matrix(ch, rng.uniform(-300, 300, n)))
+
+    def test_ill_conditioned(self):
+        # singular values from 1 down to 10^-12 ... 10^-17: about two in three are refused
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n = int(rng.integers(2, 17))
+            q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            sv = np.logspace(0, -rng.uniform(12, 17), n)
+            self.assert_inverse_matches((q1 * sv) @ q2)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_loading_matrix(self, order):
+        rng = np.random.default_rng(44)
+        n = 7
+        z_r = build_coupling_matrix(n, 0.2, 50.0)
+        z_r[0, 1] = z_r[1, 0] = complex(-0.0, -0.0)
+        z_r[2, 3] = z_r[3, 2] = complex(-0.0, 3.0)
+        z_r[4, 4] = complex(-0.0, -0.0)
+        z_r[5, 5] = complex(-0.0, 2.0)
+        ch = ImpedanceChannel([[0.0]], np.ones((1, n)), np.ones((n, 1)),
+                              np.asarray(z_r, order=order), 50.0)
+        for x in ([-3.0, 0.0, -0.0, X_MAX, -X_MAX, 1.5, -2.5],
+                  [-0.0, -1.0, 0.0, -X_MAX, -4.0, -5.0, X_MAX],
+                  rng.uniform(-100, 100, n)):
+            x = np.array(x)
+            want = ch.z_r + 1j * np.diag(x)
+            assert loading_matrix(ch, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("evaluate", [evaluate_channel, init_context])
+    def test_singular_load_is_infinitely_ill_conditioned(self, evaluate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericallySingularError) as exc:
+                evaluate(singular_channel(), RisState.zeros(2))
+        assert exc.value.condition == np.inf
+
+
+def linalg_probe() -> dict:
+    """Trace digests of a slow-ridge SISO and a 2 x 2 SE optimize, and the
+    condition a singular load is refused with, under the active linalg path."""
+    def digest(res):
+        return hashlib.sha256(res.trace.tobytes() + res.state.x.tobytes()).hexdigest()
+
+    # draw 40 of the acceptance fixture (tests/test_elementwise.py), which
+    # keeps acceleration steps
+    ridge = Scenario(n=5, spacing=0.16340238753657976, alpha_tx=0.3288973559887411,
+                     alpha_rx=0.6262066822143726, gamma_dr=0.6984385854177759,
+                     gamma_rs=0.8436008778516497)
+    siso = optimize(build_los_scenario(ridge), RisState.zeros(5))
+    rng = np.random.default_rng(45)
+    z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ch = ImpedanceChannel(z(2, 2), 50.0 * z(2, 4), 50.0 * z(4, 2),
+                          build_coupling_matrix(4, 0.3, 50.0), 50.0)
+    se = optimize(ch, RisState.zeros(4), OptimizerConfig(max_sweeps=100,
+                                                         objective="spectral_efficiency"))
+    try:
+        evaluate_channel(singular_channel(), RisState.zeros(2))
+        condition = None
+    except NumericallySingularError as exc:
+        condition = repr(exc.condition)
+    return {"path": LINALG_PATH, "siso": digest(siso), "se": digest(se), "condition": condition}
+
+
+class TestPublicLinalgFallback:
+    """Without numpy's private _umath_linalg the package falls back to the
+    public np.linalg wrappers, which make the same LAPACK calls: the same
+    trajectories bit for bit, and the same refusal of a singular load."""
+
+    def test_fallback_matches_the_gufunc_path(self):
+        src = Path(riscoupling.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]))
+        code = ("import json, sys, numpy\n"
+                "sys.modules['numpy.linalg._umath_linalg'] = None\n"
+                "import test_channel\n"
+                "print(json.dumps(test_channel.linalg_probe()))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             stdout=subprocess.PIPE, text=True).stdout
+        fallback = json.loads(out.splitlines()[-1])
+        default = linalg_probe()
+        assert default["path"] == "LAPACK gufuncs"
+        assert fallback["path"] == "public numpy.linalg fallback"
+        assert fallback["condition"] == default["condition"] == "inf"
+        assert fallback["siso"] == default["siso"]
+        assert fallback["se"] == default["se"]
 
 
 class TestFiguresOfMerit:

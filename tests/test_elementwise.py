@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -497,6 +499,125 @@ class TestTrustRegionStep:
             t *= radius / np.linalg.norm(t, axis=1, keepdims=True)
             sampled = t @ grad + 0.5 * np.einsum("ij,jk,ik->i", t, hess, t)
             assert grad @ s + 0.5 * s @ hess @ s >= sampled.max() - 1e-9
+
+
+class TestAccelerationStepBitForBit:
+    """The acceleration step's derivatives and trust-region step against their
+    first written form (np.outer, np.real, plain bisection for the shift): a
+    rewrite for speed must not move a single bit of the SISO trajectory."""
+
+    @staticmethod
+    def derivatives(ctx):
+        g_inv = ctx.z_inv
+        u, v = ctx.u[0], ctx.v[:, 0]
+        z = complex(ctx.z_bar[0, 0])
+        dz = 1j * u * v
+        d2z = g_inv * (np.outer(u, v) + np.outer(v, u))
+        grad = 2.0 * np.real(z.conjugate() * dz)
+        hess = 2.0 * np.real(z.conjugate() * d2z + np.outer(dz, dz.conj()))
+        return grad, hess
+
+    @staticmethod
+    def bisection(grad, hess, radius):
+        """trust_region_step with every midpoint evaluated; also the steps taken."""
+        w, v = np.linalg.eigh(hess)
+        gt = v.T @ grad
+        if w[-1] < 0.0:
+            s = -gt / w
+            if math.sqrt(s.dot(s)) <= radius:
+                return v @ s, 0
+        lo = max(w[-1], 0.0)
+        hi = lo + math.sqrt(gt.dot(gt)) / radius + np.abs(w).max()
+        steps = 0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            steps += 1
+            t = gt / (mid - w)
+            if math.sqrt(t.dot(t)) > radius:
+                lo = mid
+            else:
+                hi = mid
+        return v @ (gt / (hi - w)), steps
+
+    def assert_step_matches(self, grad, hess, radius):
+        want, steps = self.bisection(grad, hess, radius)
+        assert trust_region_step(grad, hess, radius).tobytes() == want.tobytes()
+        return steps
+
+    @staticmethod
+    def radius(rng):
+        return float(10.0 ** rng.uniform(-6, 3))
+
+    def test_derivatives(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(1, 17))
+            ch = random_channel(rng, n, spacing=float(rng.uniform(0.1, 0.5)))
+            ctx = init_context(ch, RisState(rng.uniform(-100, 100, n)))
+            for _ in range(int(rng.integers(0, 4))):        # leave some updates pending
+                apply_update(ctx, int(rng.integers(n)), float(rng.uniform(-30, 30)))
+            grad, hess = siso_derivatives(ctx)
+            want_grad, want_hess = self.derivatives(ctx)
+            assert grad.tobytes() == want_grad.tobytes()
+            assert hess.tobytes() == want_hess.tobytes()
+
+    def test_indefinite(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            n = int(rng.integers(1, 17))
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            self.assert_step_matches(rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3),
+                                     a + a.T, self.radius(rng))
+
+    def test_negative_definite_newton_step_just_outside(self):
+        # the shift's root sits so far below hi that bisection stops at its
+        # 100-step cap rather than at adjacent floats
+        rng = np.random.default_rng(33)
+        capped = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 17))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            hess = -(q * 10.0 ** rng.uniform(-2, 2, n)) @ q.T
+            grad = rng.standard_normal(n)
+            w, v = np.linalg.eigh(hess)
+            newton = -(v.T @ grad) / w
+            radius = float(np.sqrt(newton.dot(newton))) * (1.0 - rng.integers(1, 8) * 2.0**-52)
+            capped += self.assert_step_matches(grad, hess, radius) == 100
+        assert capped >= 30
+
+    def test_hard_case(self):
+        # gt = 0 along the largest eigenvalue: a diagonal Hessian keeps it exactly 0
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            n = int(rng.integers(1, 17))
+            w = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+            grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 2)
+            grad[np.argmax(w)] = 0.0
+            if rng.uniform() < 0.1:
+                grad[:] = 0.0
+            self.assert_step_matches(grad, np.diag(w), self.radius(rng))
+
+    def test_single_element(self):
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            self.assert_step_matches(rng.standard_normal(1), rng.standard_normal((1, 1)) * 10.0,
+                                     self.radius(rng))
+
+    @pytest.mark.parametrize("newton_steps", [0, 1, 20])
+    @pytest.mark.parametrize("bracket", [4e-15, 0.5, -0.5])
+    def test_any_bracket_gives_plain_bisection(self, monkeypatch, newton_steps, bracket):
+        """The certificates alone make the result exact: a Newton iterate short
+        of the root, a wide bracket or one turned inside out (each side on the
+        wrong side of the root) must all give plain bisection's bits."""
+        monkeypatch.setattr(elementwise, "SHIFT_NEWTON_STEPS", newton_steps)
+        monkeypatch.setattr(elementwise, "SHIFT_BRACKET", bracket)
+        rng = np.random.default_rng(36)
+        for _ in range(60):
+            n = int(rng.integers(1, 17))
+            a = rng.standard_normal((n, n))
+            self.assert_step_matches(rng.standard_normal(n), a + a.T, self.radius(rng))
 
 
 class TestSlowRidgeScenario:
