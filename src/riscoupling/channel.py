@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,13 @@ else:
 
 # Reject loading matrices whose 1-norm condition estimate exceeds this.
 CONDITION_LIMIT = 1e14
+
+# Reactance clamp used when the phase-to-reactance map hits its pole.
+X_MAX = 1e9
+
+# Phases within this distance of pi (theta at or near -1) map to a zero
+# reactance or reactance step: 1e-15 absolute plus 1e-5 relative to pi.
+PI_DEAD_ZONE = 1e-15 + 1e-5 * math.pi
 
 # Relative eigenvalue floor for pseudo-inverse square roots.
 PINV_EIG_FLOOR = 1e-12
@@ -67,8 +75,8 @@ class Scenario:
     R: float = 50.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgumentError("n must be a positive integer")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise InvalidArgumentError(f"n must be a positive integer, got {self.n!r}")
         if not np.all(np.isfinite((self.spacing, self.alpha_tx, self.alpha_rx, self.gamma_dr,
                                    self.gamma_rs, self.gamma_loss, self.R))):
             raise InvalidArgumentError("spacing, angles, pathloss, loss and R must be finite")
@@ -202,10 +210,13 @@ def build_los_scenario(s: Scenario) -> ImpedanceChannel:
 def loading_matrix(ch: ImpedanceChannel, x: np.ndarray) -> np.ndarray:
     """Z_R + j diag(x), the matrix the RIS currents are solved against.
 
-    Rounded as ch.z_r + 1j * np.diag(x), signs of zero included, without the
-    N x N temporaries: adding 0.0 copies Z_R and turns its -0.0 parts into
-    +0.0 as adding 1j * 0.0 does, and the diagonal takes 1j * x.
+    Refuses an x that is not one reactance per element.  Rounded as
+    ch.z_r + 1j * np.diag(x), signs of zero included, without the N x N
+    temporaries: adding 0.0 copies Z_R and turns its -0.0 parts into +0.0 as
+    adding 1j * 0.0 does, and the diagonal takes 1j * x.
     """
+    if x.shape != (ch.n,):
+        raise InvalidArgumentError(f"{x.size} reactances for a channel of {ch.n} elements")
     z = ch.z_r + 0.0
     z.flat[::ch.n + 1] = ch.z_r.diagonal() + 1j * x
     return z
@@ -217,15 +228,10 @@ def _norm1(a: np.ndarray) -> float:
 
 
 # The gufunc flags a singular matrix as an invalid operation and returns NaN,
-# which checked_inverse refuses, so the warning is not wanted (np.linalg.inv
-# raises LinAlgError there and ignores the other three flags).  As a
-# decorator np.errstate costs half what it costs as a with-block.
+# which is refused below, so the warning is not wanted (np.linalg.inv raises
+# LinAlgError there and ignores the other three flags).  As a decorator
+# np.errstate costs half what it costs as a with-block.
 @np.errstate(all="ignore")
-def _inverse_and_condition(z_load: np.ndarray) -> tuple[np.ndarray, float]:
-    z_inv = _inv(z_load)
-    return z_inv, _norm1(z_load) * _norm1(z_inv)
-
-
 def checked_inverse(z_load: np.ndarray) -> np.ndarray:
     """Inverse of a complex loading matrix, refused above CONDITION_LIMIT.
 
@@ -234,7 +240,8 @@ def checked_inverse(z_load: np.ndarray) -> np.ndarray:
     whether the LAPACK gufunc returns NaN for it or the public wrapper raises.
     """
     try:
-        z_inv, cond = _inverse_and_condition(z_load)
+        z_inv = _inv(z_load)
+        cond = _norm1(z_load) * _norm1(z_inv)
     except np.linalg.LinAlgError:
         cond = math.inf
     if not cond <= CONDITION_LIMIT:
@@ -249,8 +256,6 @@ def checked_inverse(z_load: np.ndarray) -> np.ndarray:
 
 def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     """End-to-end impedance channel Z = Z_DS - Z_DR (Z_R + j diag(x))^{-1} Z_RS."""
-    if state.n != ch.n:
-        raise InvalidArgumentError("state length does not match channel")
     return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch, state.x)) @ ch.z_rs
 
 

@@ -18,6 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (
+    PI_DEAD_ZONE,
+    X_MAX,
     ArrayFactors,
     ImpedanceChannel,
     RisState,
@@ -26,7 +28,6 @@ from .channel import (
     psd_sqrt,
     single_element_gain,
 )
-from .elementwise import PI_DEAD_ZONE, X_MAX
 from .errors import InvalidArgumentError, SingularLoadError
 
 # Below this element spacing the normalized coupling matrix is so close to

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channel import (
+    PI_DEAD_ZONE,
+    X_MAX,
     ImpedanceChannel,
     RisState,
     checked_inverse,
@@ -37,13 +40,6 @@ from .errors import (
     InvalidArgumentError,
     NumericallySingularError,
 )
-
-# Reactance clamp used when the phase-to-reactance map hits its pole.
-X_MAX = 1e9
-
-# Phases within this distance of pi (theta at or near -1) map to a zero
-# reactance or reactance step: 1e-15 absolute plus 1e-5 relative to pi.
-PI_DEAD_ZONE = 1e-15 + 1e-5 * math.pi
 
 # Acceleration of the SISO sweep.  It engages once coordinate ascent has spent
 # ACCEL_WINDOW consecutive sweeps in slow geometric convergence, each sweep
@@ -78,8 +74,9 @@ class OptimizerConfig:
     objective: str = SISO_GAIN
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise InvalidArgumentError("max_sweeps must be >= 1")
+        if (isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral)
+                or self.max_sweeps < 1):
+            raise InvalidArgumentError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
         if not self.tol >= 0:
             raise InvalidArgumentError("tol must be nonnegative")
         if self.objective not in (SISO_GAIN, SPECTRAL_EFFICIENCY):

@@ -69,6 +69,8 @@ class SweepSpec:
             raise ConfigError(str(exc)) from None
         if not scenarios or not self.methods:
             raise ConfigError("sweep axes and methods must be nonempty")
+        if set(self.scenario_id) & set(',"\r\n'):      # each would break the CSV row
+            raise ConfigError(f"scenario_id {self.scenario_id!r} holds ',', '\"' or a line break")
         if not self.output:
             object.__setattr__(self, "output", f"{self.scenario_id}.csv")
 
@@ -97,7 +99,7 @@ class SweepRecord:
     alpha_tx: float
     alpha_rx: float
     gamma_loss: float
-    sweep_index: int          # -1 for closed-form methods
+    sweep_index: int          # -1 for closed-form methods and error rows
     array_gain: float
     wall_time_s: float
     flags: tuple[str, ...] = ()
@@ -182,45 +184,34 @@ def parse_config(text: str) -> SweepSpec:
 
 def _run_method(spec: SweepSpec, s: Scenario, method: MethodId, trace_elements: bool,
                 factors: ArrayFactors) -> list[SweepRecord]:
-    def record(sweep_index, gain, elapsed, flags=()):
-        return SweepRecord(
-            scenario_id=spec.scenario_id, method=method.value, n=s.n,
-            spacing=s.spacing, alpha_tx=s.alpha_tx, alpha_rx=s.alpha_rx,
-            gamma_loss=s.gamma_loss, sweep_index=sweep_index,
-            array_gain=gain, wall_time_s=elapsed, flags=tuple(flags),
-        )
-
     t0 = time.perf_counter()
+    flags, per_sweep = (), False
     try:
         if method is MethodId.DECOUPLED:
-            gain = array_gain(s, factors)
-            return [record(-1, gain, time.perf_counter() - t0)]
-        if method is MethodId.NO_COUPLING:
-            return [record(-1, no_coupling_gain(s), time.perf_counter() - t0)]
-        if method is MethodId.IGNORE_MC:
-            return [record(-1, ignore_mc_gain(s, factors), time.perf_counter() - t0)]
-        if method is MethodId.GRID_ORACLE:
-            gain = grid_search_phase(build_los_scenario(s)) / single_element_gain(s)
-            return [record(-1, gain, time.perf_counter() - t0)]
-        # iterative methods
-        ch = build_los_scenario(s)
-        runner = optimize if method is MethodId.ELEMENT_WISE else naive_elementwise
-        res = runner(ch, RisState.zeros(s.n), spec.optimizer_config())
-        elapsed = time.perf_counter() - t0
-        flags = []
-        if res.saturation_events:
-            flags.append("saturation")
-        if not res.converged:
-            flags.append("not_converged")
-        trace = res.trace / single_element_gain(s)
-        if trace_elements:
-            return [record(i, float(g), elapsed, flags) for i, g in enumerate(trace)]
-        # one record per completed sweep, taken where the sweep closed
-        sweep_vals = trace[res.sweep_ends]
-        return [record(i, float(g), elapsed, flags) for i, g in enumerate(sweep_vals)]
+            gains = [array_gain(s, factors)]
+        elif method is MethodId.NO_COUPLING:
+            gains = [no_coupling_gain(s)]
+        elif method is MethodId.IGNORE_MC:
+            gains = [ignore_mc_gain(s, factors)]
+        elif method is MethodId.GRID_ORACLE:
+            gains = [grid_search_phase(build_los_scenario(s)) / single_element_gain(s)]
+        else:
+            runner = optimize if method is MethodId.ELEMENT_WISE else naive_elementwise
+            res = runner(build_los_scenario(s), RisState.zeros(s.n), spec.optimizer_config())
+            flags = ("saturation",) if res.saturation_events else ()
+            flags += () if res.converged else ("not_converged",)
+            # every trace entry, or one per completed sweep, taken where the sweep closed
+            rows = slice(None) if trace_elements else res.sweep_ends
+            gains = (res.trace[rows] / single_element_gain(s)).tolist()
+            per_sweep = True
     except RisCouplingError as exc:
-        elapsed = time.perf_counter() - t0
-        return [record(-1, 0.0, elapsed, (f"error:{type(exc).__name__}",))]
+        gains, flags = [0.0], (f"error:{type(exc).__name__}",)
+    elapsed = time.perf_counter() - t0
+    return [SweepRecord(scenario_id=spec.scenario_id, method=method.value, n=s.n,
+                        spacing=s.spacing, alpha_tx=s.alpha_tx, alpha_rx=s.alpha_rx,
+                        gamma_loss=s.gamma_loss, sweep_index=i if per_sweep else -1,
+                        array_gain=g, wall_time_s=elapsed, flags=flags)
+            for i, g in enumerate(gains)]
 
 
 def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord]:

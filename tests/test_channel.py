@@ -28,13 +28,14 @@ from riscoupling import (
     spectral_efficiency,
     steering_vector,
 )
-from riscoupling.channel import LINALG_PATH, checked_inverse, loading_matrix
-from riscoupling.elementwise import X_MAX
+from riscoupling.channel import LINALG_PATH, X_MAX, checked_inverse, loading_matrix
 from riscoupling.errors import (
     InvalidArgumentError,
     NotPSDError,
     NumericallySingularError,
 )
+
+from conftest import SLOW_RIDGE, random_channel
 
 
 class TestCouplingMatrix:
@@ -127,12 +128,6 @@ class TestLosScenario:
         lossless = build_los_scenario(Scenario(n=4, spacing=0.2, alpha_tx=0.0, alpha_rx=np.pi))
         ch = build_los_scenario(s)
         assert np.allclose(ch.z_r - lossless.z_r, 0.1 * 50.0 * np.eye(4))
-
-
-def random_channel(rng, n, k=1, m=1, spacing=0.3):
-    z_r = build_coupling_matrix(n, spacing, 50.0)
-    z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return ImpedanceChannel(z(k, m), 50.0 * z(k, n), 50.0 * z(n, m), z_r, 50.0)
 
 
 class TestEvaluateChannel:
@@ -268,12 +263,7 @@ def linalg_probe() -> dict:
     def digest(res):
         return hashlib.sha256(res.trace.tobytes() + res.state.x.tobytes()).hexdigest()
 
-    # draw 40 of the acceptance fixture (tests/test_elementwise.py), which
-    # keeps acceleration steps
-    ridge = Scenario(n=5, spacing=0.16340238753657976, alpha_tx=0.3288973559887411,
-                     alpha_rx=0.6262066822143726, gamma_dr=0.6984385854177759,
-                     gamma_rs=0.8436008778516497)
-    siso = optimize(build_los_scenario(ridge), RisState.zeros(5))
+    siso = optimize(build_los_scenario(SLOW_RIDGE), RisState.zeros(5))
     rng = np.random.default_rng(45)
     z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ch = ImpedanceChannel(z(2, 2), 50.0 * z(2, 4), 50.0 * z(4, 2),
@@ -370,6 +360,16 @@ class TestStateValidation:
             Scenario(n=2, spacing=-1.0, alpha_tx=0.0, alpha_rx=0.0)
         with pytest.raises(InvalidArgumentError):
             Scenario(n=2, spacing=0.5, alpha_tx=0.0, alpha_rx=0.0, gamma_loss=-0.1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4.0), "4"])
+    def test_scenario_n_must_be_an_integer(self, n):
+        # n = 2.5 would build a 3-element array yet report N = 2.5, and True one element
+        with pytest.raises(InvalidArgumentError, match="n must be a positive integer"):
+            Scenario(n=n, spacing=0.5, alpha_tx=0.0, alpha_rx=0.0)
+
+    def test_scenario_accepts_numpy_integers(self):
+        s = Scenario(n=np.int64(3), spacing=0.5, alpha_tx=0.0, alpha_rx=0.0)
+        assert build_los_scenario(s).n == 3
 
     @pytest.mark.parametrize("field", ["gamma_dr", "gamma_rs"])
     def test_scenario_rejects_zero_pathloss(self, field):

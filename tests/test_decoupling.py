@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from riscoupling import (
     single_element_gain,
     steering_vector,
 )
+from riscoupling import channel, decoupling, elementwise
 from riscoupling.decoupling import (
     DecouplingNetwork,
     array_gain,
@@ -326,3 +330,23 @@ class TestCornerGeometry:
         assert a3 == pytest.approx(CORNER_D005_ORACLE[3], rel=1e-6)
         assert a4 == pytest.approx(CORNER_D005_ORACLE[4], rel=1e-6)
         assert a3 > a4
+
+
+class TestLayering:
+    """The decoupling network and the element-wise optimizer are independent
+    answers to mutual coupling: both take the load model from channel."""
+
+    def test_decoupling_imports_nothing_from_elementwise(self):
+        tree = ast.parse(Path(decoupling.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        assert "channel" in names
+        assert not [name for name in names if "elementwise" in name]
+
+    def test_load_model_constants_live_in_channel(self):
+        assert elementwise.X_MAX is decoupling.X_MAX is channel.X_MAX
+        assert elementwise.PI_DEAD_ZONE is decoupling.PI_DEAD_ZONE is channel.PI_DEAD_ZONE

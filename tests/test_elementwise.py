@@ -8,7 +8,6 @@ from riscoupling import (
     OptimizerConfig,
     RisState,
     Scenario,
-    build_coupling_matrix,
     build_los_scenario,
     channel_gain,
     evaluate_channel,
@@ -34,11 +33,7 @@ from riscoupling.elementwise import (
 )
 from riscoupling.errors import ChangeOfVariablesError, InvalidArgumentError
 
-
-def random_channel(rng, n, k=1, m=1, spacing=0.3):
-    z_r = build_coupling_matrix(n, spacing, 50.0)
-    z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return ImpedanceChannel(z(k, m), 50.0 * z(k, n), 50.0 * z(n, m), z_r, 50.0)
+from conftest import SLOW_RIDGE, random_channel
 
 
 class TestInitContext:
@@ -332,6 +327,28 @@ class TestOptimize:
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(objective="nope")
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "5", None])
+    def test_max_sweeps_must_be_an_integer(self, value):
+        # 2.5 would reach range() as a bare TypeError, and True would count as 1 sweep
+        with pytest.raises(InvalidArgumentError, match="max_sweeps"):
+            OptimizerConfig(max_sweeps=value)
+
+    def test_max_sweeps_accepts_numpy_integers(self):
+        ch = random_channel(np.random.default_rng(23), 3)
+        cfg = OptimizerConfig(max_sweeps=np.int64(3), tol=0.0)
+        assert optimize(ch, RisState.zeros(3), cfg).sweeps == 3
+
+
+@pytest.mark.parametrize("solve", [optimize, naive_elementwise, init_context, evaluate_channel],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("length", [1, 3])
+def test_wrong_length_state_refused(solve, length):
+    # loading_matrix makes the check for every path; a length-1 state would
+    # otherwise broadcast over the diagonal
+    ch = random_channel(np.random.default_rng(24), 2)
+    with pytest.raises(InvalidArgumentError, match=f"{length} reactances for a channel of 2"):
+        solve(ch, RisState.zeros(length))
+
 
 class TestNoEffectElement:
     """On an uncoupled array (Z_R = R I) an element whose Z_DR column (SISO) or
@@ -624,9 +641,7 @@ class TestSlowRidgeScenario:
     """Draw 40 of the acceptance fixture: coordinate ascent alone needs about
     3800 sweeps and stands at 0.615 of Decoupled after 500."""
 
-    SCENARIO = Scenario(n=5, spacing=0.16340238753657976, alpha_tx=0.3288973559887411,
-                        alpha_rx=0.6262066822143726, gamma_dr=0.6984385854177759,
-                        gamma_rs=0.8436008778516497)
+    SCENARIO = SLOW_RIDGE
 
     def test_both_optimizers_converge_on_the_same_trace(self):
         ch = build_los_scenario(self.SCENARIO)

@@ -28,6 +28,8 @@ from riscoupling.experiments import (
     write_csv,
 )
 
+from conftest import SLOW_RIDGE
+
 DATA = Path(__file__).parent / "data"
 
 MINIMAL = """
@@ -82,6 +84,19 @@ methods = Decoupled
         with pytest.raises(ConfigError, match="Z-OPT"):
             parse_config(MINIMAL.replace("Decoupled", "Z-OPT"))
 
+    @pytest.mark.parametrize("scenario_id", ["a,b", 'a"b'])
+    def test_csv_breaking_scenario_id_rejected(self, scenario_id):
+        # a comma would shift every column of the row under the 12-column header
+        with pytest.raises(ConfigError, match="scenario_id"):
+            parse_config(f"scenario_id = {scenario_id}\n" + MINIMAL)
+
+    @pytest.mark.parametrize("scenario_id", ["a\nb", "a\rb", "a\r\nb"])
+    def test_line_break_in_scenario_id_rejected(self, scenario_id):
+        # unreachable from a config file, whose lines are split first
+        with pytest.raises(ConfigError, match="scenario_id"):
+            SweepSpec(n_list=(2,), spacing_list=(0.5,), angle_pairs=((0.0, 0.0),),
+                      methods=(MethodId.NO_COUPLING,), scenario_id=scenario_id)
+
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_config("# header\n\n" + MINIMAL + "\n# trailing\n")
         assert spec.n_list == (4,)
@@ -118,9 +133,7 @@ class TestRunSweep:
 
     def test_accelerated_run_one_record_per_sweep(self):
         # a slow-ridge geometry on which the end-of-sweep step records trace entries
-        s = Scenario(n=5, spacing=0.16340238753657976, alpha_tx=0.3288973559887411,
-                     alpha_rx=0.6262066822143726, gamma_dr=0.6984385854177759,
-                     gamma_rs=0.8436008778516497)
+        s = SLOW_RIDGE
         spec = parse_config(f"""
 N = {s.n}
 spacing = {s.spacing!r}
@@ -308,6 +321,12 @@ class TestCli:
         cfg.write_text(text + "\n" + line + "\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_csv_breaking_scenario_id_exit_code(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario_id = a,b\n" + MINIMAL)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
