@@ -13,28 +13,20 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.linalg._umath_linalg as _umath_linalg
 
 from .errors import InvalidArgumentError, NotPSDError, NumericallySingularError
 
 # The LAPACK gufuncs behind np.linalg.inv, solve and slogdet, bound once for
 # complex 2-D input.  At the sizes the optimizer works on (N <= 16 in most
 # runs, K, M <= 4) the public wrappers' argument checks cost more than the
-# LAPACK call itself.  They live in numpy's private _umath_linalg; if numpy
-# moves it, the public wrappers make the same LAPACK calls on the same
-# arrays, so every result is the same bit for bit, and only a singular
-# matrix shows the difference: the gufunc returns NaN where the wrapper
-# raises LinAlgError (checked_inverse handles both).
-# tests/test_elementwise.py and tests/test_channel.py check both paths.
-try:
-    import numpy.linalg._umath_linalg as _umath_linalg
-except ImportError:
-    _inv, _solve, _slogdet = np.linalg.inv, np.linalg.solve, np.linalg.slogdet
-    LINALG_PATH = "public numpy.linalg fallback"
-else:
-    _inv = functools.partial(_umath_linalg.inv, signature="D->D")
-    _solve = functools.partial(_umath_linalg.solve, signature="DD->D")
-    _slogdet = functools.partial(_umath_linalg.slogdet, signature="D->Dd")
-    LINALG_PATH = "LAPACK gufuncs"
+# LAPACK call itself.  numpy's own np.linalg imports _umath_linalg when it
+# loads, so every numpy this package runs on has it.  These three bindings are
+# the package's only dense inverse, solve and log-determinant; solve_small is
+# np.linalg.solve(a, b) for complex 2-D a and b, without the wrapper's checks.
+_inv = functools.partial(_umath_linalg.inv, signature="D->D")
+solve_small = functools.partial(_umath_linalg.solve, signature="DD->D")
+_slogdet = functools.partial(_umath_linalg.slogdet, signature="D->Dd")
 
 # Reject loading matrices whose 1-norm condition estimate exceeds this.
 CONDITION_LIMIT = 1e14
@@ -207,18 +199,21 @@ def build_los_scenario(s: Scenario) -> ImpedanceChannel:
     return ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, z_r, s.R)
 
 
-def loading_matrix(ch: ImpedanceChannel, x: np.ndarray) -> np.ndarray:
+def loading_matrix(z_r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Z_R + j diag(x), the matrix the RIS currents are solved against.
 
-    Refuses an x that is not one reactance per element.  Rounded as
-    ch.z_r + 1j * np.diag(x), signs of zero included, without the N x N
+    z_r is the array impedance matrix, or the block z11 of a decoupling
+    network, which the element reactances load in the same way.  Refuses an
+    x that is not one reactance per element.  Rounded as
+    z_r + 1j * np.diag(x), signs of zero included, without the N x N
     temporaries: adding 0.0 copies Z_R and turns its -0.0 parts into +0.0 as
     adding 1j * 0.0 does, and the diagonal takes 1j * x.
     """
-    if x.shape != (ch.n,):
-        raise InvalidArgumentError(f"{x.size} reactances for a channel of {ch.n} elements")
-    z = ch.z_r + 0.0
-    z.flat[::ch.n + 1] = ch.z_r.diagonal() + 1j * x
+    n = z_r.shape[0]
+    if x.shape != (n,):
+        raise InvalidArgumentError(f"{x.size} reactances for a channel of {n} elements")
+    z = z_r + 0.0
+    z.flat[::n + 1] = z_r.diagonal() + 1j * x
     return z
 
 
@@ -228,22 +223,18 @@ def _norm1(a: np.ndarray) -> float:
 
 
 # The gufunc flags a singular matrix as an invalid operation and returns NaN,
-# which is refused below, so the warning is not wanted (np.linalg.inv raises
-# LinAlgError there and ignores the other three flags).  As a decorator
+# which is refused below, so the warning is not wanted.  As a decorator
 # np.errstate costs half what it costs as a with-block.
 @np.errstate(all="ignore")
 def checked_inverse(z_load: np.ndarray) -> np.ndarray:
     """Inverse of a complex loading matrix, refused above CONDITION_LIMIT.
 
     The 1-norm condition number ||A||_1 ||A^{-1}||_1 comes from this one
-    inverse; an exactly singular matrix counts as infinitely ill-conditioned,
-    whether the LAPACK gufunc returns NaN for it or the public wrapper raises.
+    inverse; an exactly singular matrix, whose inverse LAPACK returns as NaN,
+    counts as infinitely ill-conditioned.
     """
-    try:
-        z_inv = _inv(z_load)
-        cond = _norm1(z_load) * _norm1(z_inv)
-    except np.linalg.LinAlgError:
-        cond = math.inf
+    z_inv = _inv(z_load)
+    cond = _norm1(z_load) * _norm1(z_inv)
     if not cond <= CONDITION_LIMIT:
         if math.isnan(cond):
             cond = math.inf
@@ -256,7 +247,7 @@ def checked_inverse(z_load: np.ndarray) -> np.ndarray:
 
 def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     """End-to-end impedance channel Z = Z_DS - Z_DR (Z_R + j diag(x))^{-1} Z_RS."""
-    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch, state.x)) @ ch.z_rs
+    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch.z_r, state.x)) @ ch.z_rs
 
 
 class ArrayFactors:
@@ -305,11 +296,6 @@ def identity(k: int) -> np.ndarray:
 def channel_gain(z: np.ndarray) -> float:
     """|z|^2 for SISO; squared Frobenius norm in general."""
     return float(np.sum(np.abs(np.asarray(z)) ** 2))
-
-
-def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for complex 2-D a and b, without the wrapper's checks."""
-    return _solve(a, b)
 
 
 def spectral_efficiency(z: np.ndarray) -> float:

@@ -30,11 +30,15 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    records = run_sweep(spec, trace_elements=args.trace_elements)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / spec.output
-    write_csv(records, out_path)
+    try:        # the directory first, so an unusable --out fails before the sweep
+        out_dir.mkdir(parents=True, exist_ok=True)
+        records = run_sweep(spec, trace_elements=args.trace_elements)     # no file I/O
+        write_csv(records, out_path)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     failures = [r for r in records if any(f.startswith("error:") for f in r.flags)]
     print(f"{len(records)} records -> {out_path}"
           + (f" ({len(failures)} scenario failures)" if failures else ""))

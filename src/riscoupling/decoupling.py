@@ -25,10 +25,12 @@ from .channel import (
     RisState,
     Scenario,
     build_los_scenario,
+    checked_inverse,
+    loading_matrix,
     psd_sqrt,
     single_element_gain,
 )
-from .errors import InvalidArgumentError, SingularLoadError
+from .errors import InvalidArgumentError, NumericallySingularError
 
 # Below this element spacing the normalized coupling matrix is so close to
 # singular that gains depend on the pseudo-inversion floor; array_gain refuses,
@@ -51,6 +53,8 @@ class DecouplingNetwork:
         n = self.z11.shape[0]
         if any(b.shape != (n, n) for b in (self.z11, self.z12, self.z22)):
             raise InvalidArgumentError("all blocks must be N x N")
+        if not all(np.isfinite(b).all() for b in (self.z11, self.z12, self.z22)):
+            raise InvalidArgumentError("network blocks must be finite")
         scale = max(max(np.abs(b).max() for b in (self.z11, self.z12, self.z22)), 1.0)
         if max(np.abs(b.real).max() for b in (self.z11, self.z12, self.z22)) > 1e-9 * scale:
             raise InvalidArgumentError("network must be lossless: all blocks purely imaginary")
@@ -79,8 +83,8 @@ def power_matching_network(z_r: np.ndarray, R: float) -> DecouplingNetwork:
     z11 = 0, z12 = -j sqrt(R) Re(Z_R)^{1/2}, z22 = -j Im(Z_R).
     """
     z_r = np.asarray(z_r, dtype=complex)
-    if R <= 0:
-        raise InvalidArgumentError("R must be positive")
+    if not (0.0 < R < math.inf and np.isfinite(z_r).all()):
+        raise InvalidArgumentError("z_r must be finite and R positive and finite")
     sq = psd_sqrt(z_r.real)
     n = z_r.shape[0]
     return DecouplingNetwork(
@@ -91,24 +95,23 @@ def power_matching_network(z_r: np.ndarray, R: float) -> DecouplingNetwork:
 
 
 def transformed_load(net: DecouplingNetwork, state: RisState) -> np.ndarray:
-    """Load seen by the array through the network: z22 - z12^T (z11 + j diag(x))^{-1} z12."""
-    inner = net.z11 + 1j * np.diag(state.x)
-    if np.abs(np.diag(inner)).min() == 0 and np.abs(net.z11).max() == 0:
-        idx = int(np.argmin(np.abs(state.x)))
-        raise SingularLoadError(f"x[{idx}] = 0 makes z11 + j diag(x) singular (z11 = 0)")
-    try:
-        sol = np.linalg.solve(inner, net.z12)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLoadError(f"z11 + j diag(x) singular: {exc}") from exc
-    return net.z22 - net.z12.T @ sol
+    """Load seen by the array through the network: z22 - z12^T (z11 + j diag(x))^{-1} z12.
+
+    z11 + j diag(x) is refused like every RIS loading matrix: a state of the
+    wrong length, and a singular or ill-conditioned load (as at x_n = 0 when
+    z11 = 0).
+    """
+    return net.z22 - net.z12.T @ checked_inverse(loading_matrix(net.z11, state.x)) @ net.z12
 
 
 def reactance_transform(x: np.ndarray, R: float) -> np.ndarray:
     """x' = -R^2 / x, the load the network presents for each element reactance."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidArgumentError("reactances must be finite")
     zeros = np.flatnonzero(x == 0.0)
     if zeros.size:
-        raise SingularLoadError(f"zero reactance at index {zeros[0]}")
+        raise NumericallySingularError(f"zero reactance at index {zeros[0]}", condition=math.inf)
     return -R**2 / x
 
 

@@ -140,7 +140,7 @@ class ElementParams(NamedTuple):
 
 def init_context(ch: ImpedanceChannel, state: RisState) -> RankOneContext:
     """Dense-inverse initialization of the update cache."""
-    return RankOneContext(ch, checked_inverse(loading_matrix(ch, state.x)), state.x.copy())
+    return RankOneContext(ch, checked_inverse(loading_matrix(ch.z_r, state.x)), state.x.copy())
 
 
 def element_params(ctx: RankOneContext, n: int) -> ElementParams:
@@ -257,7 +257,7 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
 
 def refactor(ctx: RankOneContext) -> None:
     """Dense re-inversion to contain rank-one roundoff drift."""
-    ctx.z_inv = checked_inverse(loading_matrix(ctx.ch, ctx.x))
+    ctx.z_inv = checked_inverse(loading_matrix(ctx.ch.z_r, ctx.x))
 
 
 @dataclass

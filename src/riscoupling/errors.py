@@ -10,7 +10,8 @@ class InvalidArgumentError(RisCouplingError, ValueError):
 
 
 class NumericallySingularError(RisCouplingError):
-    """A loading matrix is singular or too ill-conditioned to invert reliably.
+    """A loading matrix is singular or too ill-conditioned to invert reliably,
+    or a load the network transform divides by is zero.
 
     Attributes:
         condition: 1-norm condition estimate that triggered the error (may be inf).
@@ -31,7 +32,3 @@ class ChangeOfVariablesError(RisCouplingError):
 
 class DegenerateUpdateError(RisCouplingError):
     """A rank-one inverse update hit a (near-)zero denominator."""
-
-
-class SingularLoadError(RisCouplingError):
-    """A network transform requires inverting a singular adjustable load."""

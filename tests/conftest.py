@@ -2,8 +2,7 @@
 the timings and tolerances ran in.
 
 The timing checks (C13) depend on the BLAS library and its thread count, so
-the log of every run names them, and the linalg path the package took:
-numpy's LAPACK gufuncs or the public numpy.linalg fallback.
+the log of every run names them.
 """
 
 import os
@@ -11,7 +10,6 @@ import os
 import numpy as np
 
 from riscoupling import ImpedanceChannel, Scenario, build_coupling_matrix
-from riscoupling.channel import LINALG_PATH
 
 # Draw 40 of the acceptance fixture: coordinate ascent alone needs about 3800
 # sweeps and stands at 0.615 of Decoupled after 500, so the end-of-sweep
@@ -35,8 +33,7 @@ def _environment() -> str:
     except (TypeError, KeyError):        # numpy < 1.26 has no mode="dicts"
         blas = "unknown"
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return (f"numpy {np.__version__}, BLAS {blas}, OPENBLAS_NUM_THREADS={threads}, "
-            f"linalg {LINALG_PATH}")
+    return f"numpy {np.__version__}, BLAS {blas}, OPENBLAS_NUM_THREADS={threads}"
 
 
 def pytest_report_header(config):

@@ -1,20 +1,12 @@
-import hashlib
-import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import riscoupling
 from riscoupling import (
     ImpedanceChannel,
-    OptimizerConfig,
     RisState,
     Scenario,
     build_coupling_matrix,
@@ -22,20 +14,19 @@ from riscoupling import (
     channel_gain,
     evaluate_channel,
     init_context,
-    optimize,
     psd_inv_sqrt,
     psd_sqrt,
     spectral_efficiency,
     steering_vector,
 )
-from riscoupling.channel import LINALG_PATH, X_MAX, checked_inverse, loading_matrix
+from riscoupling.channel import X_MAX, checked_inverse, loading_matrix
 from riscoupling.errors import (
     InvalidArgumentError,
     NotPSDError,
     NumericallySingularError,
 )
 
-from conftest import SLOW_RIDGE, random_channel
+from conftest import random_channel
 
 
 class TestCouplingMatrix:
@@ -218,7 +209,7 @@ class TestDenseInverseBitForBit:
         for _ in range(100):
             n = int(rng.integers(1, 17))
             ch = random_channel(rng, n, spacing=float(rng.uniform(0.05, 0.5)))
-            self.assert_inverse_matches(loading_matrix(ch, rng.uniform(-300, 300, n)))
+            self.assert_inverse_matches(loading_matrix(ch.z_r, rng.uniform(-300, 300, n)))
 
     def test_ill_conditioned(self):
         # singular values from 1 down to 10^-12 ... 10^-17: about two in three are refused
@@ -246,7 +237,7 @@ class TestDenseInverseBitForBit:
                   rng.uniform(-100, 100, n)):
             x = np.array(x)
             want = ch.z_r + 1j * np.diag(x)
-            assert loading_matrix(ch, x).tobytes() == want.tobytes()
+            assert loading_matrix(ch.z_r, x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("evaluate", [evaluate_channel, init_context])
     def test_singular_load_is_infinitely_ill_conditioned(self, evaluate):
@@ -255,51 +246,6 @@ class TestDenseInverseBitForBit:
             with pytest.raises(NumericallySingularError) as exc:
                 evaluate(singular_channel(), RisState.zeros(2))
         assert exc.value.condition == np.inf
-
-
-def linalg_probe() -> dict:
-    """Trace digests of a slow-ridge SISO and a 2 x 2 SE optimize, and the
-    condition a singular load is refused with, under the active linalg path."""
-    def digest(res):
-        return hashlib.sha256(res.trace.tobytes() + res.state.x.tobytes()).hexdigest()
-
-    siso = optimize(build_los_scenario(SLOW_RIDGE), RisState.zeros(5))
-    rng = np.random.default_rng(45)
-    z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ch = ImpedanceChannel(z(2, 2), 50.0 * z(2, 4), 50.0 * z(4, 2),
-                          build_coupling_matrix(4, 0.3, 50.0), 50.0)
-    se = optimize(ch, RisState.zeros(4), OptimizerConfig(max_sweeps=100,
-                                                         objective="spectral_efficiency"))
-    try:
-        evaluate_channel(singular_channel(), RisState.zeros(2))
-        condition = None
-    except NumericallySingularError as exc:
-        condition = repr(exc.condition)
-    return {"path": LINALG_PATH, "siso": digest(siso), "se": digest(se), "condition": condition}
-
-
-class TestPublicLinalgFallback:
-    """Without numpy's private _umath_linalg the package falls back to the
-    public np.linalg wrappers, which make the same LAPACK calls: the same
-    trajectories bit for bit, and the same refusal of a singular load."""
-
-    def test_fallback_matches_the_gufunc_path(self):
-        src = Path(riscoupling.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]))
-        code = ("import json, sys, numpy\n"
-                "sys.modules['numpy.linalg._umath_linalg'] = None\n"
-                "import test_channel\n"
-                "print(json.dumps(test_channel.linalg_probe()))\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             stdout=subprocess.PIPE, text=True).stdout
-        fallback = json.loads(out.splitlines()[-1])
-        default = linalg_probe()
-        assert default["path"] == "LAPACK gufuncs"
-        assert fallback["path"] == "public numpy.linalg fallback"
-        assert fallback["condition"] == default["condition"] == "inf"
-        assert fallback["siso"] == default["siso"]
-        assert fallback["se"] == default["se"]
 
 
 class TestFiguresOfMerit:

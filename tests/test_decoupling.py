@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from riscoupling.decoupling import (
     theta_to_reactance,
     transformed_load,
 )
-from riscoupling.errors import InvalidArgumentError, SingularLoadError
+from riscoupling.errors import InvalidArgumentError, NumericallySingularError
 
 # Independent high-precision (60-digit) evaluations of the normalized
 # end-fire array gain formula, computed once with mpmath and frozen.
@@ -86,6 +87,24 @@ class TestPowerMatchingNetwork:
         with pytest.raises(InvalidArgumentError):
             DecouplingNetwork(z11=np.eye(2), z12=-1j * np.eye(2), z22=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_network_rejected(self, bad):
+        z12 = -1j * np.eye(2)
+        z12[0, 1] = z12[1, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            DecouplingNetwork(z11=np.zeros((2, 2)), z12=z12, z22=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, 0.0, -50.0])
+    def test_bad_reference_resistance_rejected(self, r):
+        with pytest.raises(InvalidArgumentError):
+            power_matching_network(build_coupling_matrix(3, 0.2, 50.0), r)
+
+    def test_non_finite_coupling_rejected(self):
+        z_r = build_coupling_matrix(3, 0.2, 50.0)
+        z_r[0, 2] = z_r[2, 0] = np.nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            power_matching_network(z_r, 50.0)
+
 
 class TestTransformedLoad:
     def test_identity_coupling_scalar_algebra(self):
@@ -103,8 +122,25 @@ class TestTransformedLoad:
 
     def test_zero_reactance_rejected(self):
         net = power_matching_network(50.0 * np.eye(2), 50.0)
-        with pytest.raises(SingularLoadError):
-            transformed_load(net, RisState(np.array([50.0, 0.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericallySingularError) as exc:
+                transformed_load(net, RisState(np.array([50.0, 0.0])))
+        assert exc.value.condition == np.inf
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_length_state_refused(self, length):
+        # a length-1 state would otherwise broadcast over the diagonal
+        net = power_matching_network(50.0 * np.eye(2), 50.0)
+        with pytest.raises(InvalidArgumentError, match=f"{length} reactances for a channel of 2"):
+            transformed_load(net, RisState(np.full(length, 50.0)))
+
+    def test_ill_conditioned_load_refused(self):
+        # unchecked, x_0 = 1e-300 gives a load of about 1e303 ohms
+        net = power_matching_network(50.0 * np.eye(2), 50.0)
+        with pytest.raises(NumericallySingularError) as exc:
+            transformed_load(net, RisState(np.array([1e-300, 5.0])))
+        assert exc.value.condition > 1e14
 
 
 class TestReactanceTransform:
@@ -117,8 +153,14 @@ class TestReactanceTransform:
         assert np.allclose(reactance_transform(reactance_transform(x, 50.0), 50.0), x)
 
     def test_zero_entry_reported_with_index(self):
-        with pytest.raises(SingularLoadError, match="index 1"):
+        with pytest.raises(NumericallySingularError, match="index 1") as exc:
             reactance_transform(np.array([3.0, 0.0]), 50.0)
+        assert exc.value.condition == np.inf
+
+    @pytest.mark.parametrize("x", [[np.nan, np.inf], [3.0, -np.inf], [np.nan]])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            reactance_transform(np.array(x), 50.0)
 
 
 class TestEffectiveChannel:
@@ -350,3 +392,25 @@ class TestLayering:
     def test_load_model_constants_live_in_channel(self):
         assert elementwise.X_MAX is decoupling.X_MAX is channel.X_MAX
         assert elementwise.PI_DEAD_ZONE is decoupling.PI_DEAD_ZONE is channel.PI_DEAD_ZONE
+
+    def test_dense_linear_algebra_only_in_channel(self):
+        """channel.py binds numpy's LAPACK gufuncs once; every other module
+        inverts, solves and takes log-determinants through it (eigh excepted)."""
+        banned = {"inv", "solve", "slogdet"}
+        offenders = []
+        for path in sorted(Path(channel.__file__).parent.glob("*.py")):
+            if path.name == "channel.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    module = getattr(node, "module", None) or ""
+                    bad = [alias.name for alias in node.names
+                           if "_umath_linalg" in f"{module}.{alias.name}"
+                           or (module.endswith("linalg") and alias.name in banned)]
+                elif (isinstance(node, ast.Attribute) and node.attr in banned    # np.linalg.x
+                      and getattr(node.value, "attr", getattr(node.value, "id", "")) == "linalg"):
+                    bad = [f"linalg.{node.attr}"]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno} {name}" for name in bad]
+        assert offenders == []

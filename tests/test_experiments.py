@@ -16,6 +16,7 @@ from riscoupling import (
     optimize,
 )
 from riscoupling import channel as channel_module
+from riscoupling import cli
 from riscoupling.cli import main
 from riscoupling.errors import NotPSDError, NumericallySingularError
 from riscoupling.experiments import (
@@ -327,6 +328,15 @@ class TestCli:
         cfg.write_text("scenario_id = a,b\n" + MINIMAL)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert list(tmp_path.glob("*.csv")) == []
+
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(MINIMAL)
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
+        assert main(["run", "--config", str(cfg), "--out", str(cfg)]) == 1
+        assert calls == []
+        assert "error: cannot write output:" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
