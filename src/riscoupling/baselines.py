@@ -96,8 +96,9 @@ def ignore_mc_gain(s: Scenario, factors: ArrayFactors | None = None) -> float:
     applied blindly to the true coupled channel.
 
     At x = 0 the loading matrix is Z_R itself, so its inverse comes from
-    factors, which if given are those of the scenario's array.
+    factors, which if given must be those of the scenario's array.
     """
-    ch = build_los_scenario(s)
-    z = ch.z_ds - ch.z_dr @ (factors or ArrayFactors()).inverse(ch.z_r) @ ch.z_rs
+    factors = factors or ArrayFactors(s)
+    ch = build_los_scenario(s, factors)
+    z = ch.z_ds - ch.z_dr @ factors.inverse() @ ch.z_rs
     return channel_gain(z) / single_element_gain(s)

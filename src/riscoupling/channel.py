@@ -67,8 +67,7 @@ class Scenario:
     R: float = 50.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise InvalidArgumentError(f"n must be a positive integer, got {self.n!r}")
+        _check_n(self.n)
         if not np.all(np.isfinite((self.spacing, self.alpha_tx, self.alpha_rx, self.gamma_dr,
                                    self.gamma_rs, self.gamma_loss, self.R))):
             raise InvalidArgumentError("spacing, angles, pathloss, loss and R must be finite")
@@ -78,6 +77,17 @@ class Scenario:
             raise InvalidArgumentError("pathloss factors must be positive, the loss factor nonnegative")
         if self.R <= 0:
             raise InvalidArgumentError("reference resistance must be positive")
+
+    @property
+    def array(self) -> tuple:
+        """(n, spacing, gamma_loss, R): what Z_R depends on; scenarios that differ
+        only in angles or pathloss share it."""
+        return (self.n, self.spacing, self.gamma_loss, self.R)
+
+
+def _check_n(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -161,42 +171,45 @@ def build_coupling_matrix(n: int, spacing: float, R: float) -> np.ndarray:
     """Mutual impedance matrix of a ULA of isotropic radiators.
 
     Off-diagonals follow sin(u)/u + j cos(u)/u with u = 2*pi*spacing*|i-j|;
-    the diagonal is the radiation resistance R.
+    the diagonal is the radiation resistance R.  The matrix is Toeplitz: its
+    N lag values are evaluated once and indexed into place.
     """
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    _check_n(n)
     if spacing <= 0 or R <= 0:
         raise InvalidArgumentError("spacing and R must be positive")
     idx = np.arange(n)
-    u = 2.0 * np.pi * spacing * np.abs(idx[:, None] - idx[None, :])
+    u = 2.0 * np.pi * spacing * idx
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = R * np.sin(u) / u + 1j * R * np.cos(u) / u
-    np.fill_diagonal(z, R)
-    return z
+        lags = R * np.sin(u) / u + 1j * R * np.cos(u) / u
+    lags[0] = R
+    return lags[np.abs(idx[:, None] - idx[None, :])]
 
 
 def steering_vector(n: int, spacing: float, alpha: float) -> np.ndarray:
     """LOS ULA steering vector a_n = exp(-j (n-1) 2 pi spacing cos(alpha))."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    _check_n(n)
     return np.exp(-1j * np.arange(n) * 2.0 * np.pi * spacing * np.cos(alpha))
 
 
-def build_los_scenario(s: Scenario) -> ImpedanceChannel:
+def build_los_scenario(s: Scenario, factors: ArrayFactors | None = None) -> ImpedanceChannel:
     """Construct the SISO LOS impedance channel of the line scenario.
 
     The direct link is blocked (z_ds = 0); RIS-side links are pathloss-scaled
-    steering vectors times R.  A nonzero gamma_loss adds R*gamma to the real
-    diagonal of the coupling matrix (Ohmic dissipation resistance).
+    steering vectors times R.  Z_R, Ohmic loss included, is the read-only
+    matrix of factors, which if given must be those of the scenario's array;
+    the channels of one array then share one Z_R.
     """
+    if factors is None:
+        factors = ArrayFactors(s)
+    elif factors.array != s.array:
+        raise InvalidArgumentError(
+            f"factors of array {factors.array} given for a scenario of array {s.array} "
+            "(n, spacing, gamma_loss, R)")
     a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
     a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
     z_dr = np.sqrt(s.gamma_dr) * s.R * a_dr[None, :]
     z_rs = np.sqrt(s.gamma_rs) * s.R * a_rs[:, None]
-    z_r = build_coupling_matrix(s.n, s.spacing, s.R)
-    if s.gamma_loss > 0:
-        z_r = z_r + s.gamma_loss * s.R * np.eye(s.n)
-    return ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, z_r, s.R)
+    return ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, factors.z_r, s.R)
 
 
 def loading_matrix(z_r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -251,29 +264,42 @@ def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
 
 
 class ArrayFactors:
-    """The O(N^3) factorisations of one array impedance matrix Z_R, each made on
-    its first request and kept, read-only, for the later ones.
+    """One array's impedance matrix Z_R and its O(N^3) factorisations.
 
-    Every request passes Z_R, and all requests to one instance must pass the
-    same matrix.  Z_R depends on N, spacing, gamma_loss and R only, so the
-    scenarios of one array share one instance whatever their angles.  The
-    instance holds no Z_R of its own.  A factorisation that raises is not
-    kept: the next request tries again and raises again.
+    Made for the array of a scenario (its N, spacing, gamma_loss and R, not
+    its angles), it builds that array's Z_R once, Ohmic loss included: R*gamma
+    on the real diagonal.  Each factorisation is made on its first request
+    and kept for the later ones.  Z_R and the factors are read-only, so the
+    scenarios of one array share one instance.  A factorisation that raises
+    is not kept: the next request tries again and raises again.
     """
 
-    def __init__(self):
+    def __init__(self, s: Scenario):
+        self.array = s.array
+        z_r = build_coupling_matrix(s.n, s.spacing, s.R)
+        if s.gamma_loss > 0:
+            z_r = z_r + s.gamma_loss * s.R * np.eye(s.n)
+        self.z_r = _read_only(z_r)
         self._inverse = self._re_inv_sqrt = None
 
-    def inverse(self, z_r: np.ndarray) -> np.ndarray:
+    def check(self, z_r: np.ndarray) -> ArrayFactors:
+        """self, refused unless z_r is this array's Z_R."""
+        if z_r is not self.z_r and not np.array_equal(z_r, self.z_r):
+            raise InvalidArgumentError(
+                f"factors of array {self.array} (n, spacing, gamma_loss, R) "
+                "given for a channel of another Z_R")
+        return self
+
+    def inverse(self) -> np.ndarray:
         """checked_inverse(Z_R), the inverse of the loading matrix at x = 0."""
         if self._inverse is None:
-            self._inverse = _read_only(checked_inverse(z_r))
+            self._inverse = _read_only(checked_inverse(self.z_r))
         return self._inverse
 
-    def re_inv_sqrt(self, z_r: np.ndarray) -> np.ndarray:
+    def re_inv_sqrt(self) -> np.ndarray:
         """psd_inv_sqrt(Re Z_R), the whitening of the power-matching network."""
         if self._re_inv_sqrt is None:
-            self._re_inv_sqrt = _read_only(psd_inv_sqrt(z_r.real))
+            self._re_inv_sqrt = _read_only(psd_inv_sqrt(self.z_r.real))
         return self._re_inv_sqrt
 
 
@@ -316,7 +342,7 @@ def psd_inv_sqrt(s: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root; eigenvalues below the relative floor map to 0."""
     w, v = _psd_eig(s)
     floor = PINV_EIG_FLOOR * w.max() if w.size else 0.0
-    inv = np.where(w > floor, 1.0 / np.sqrt(np.maximum(w, floor)), 0.0)
+    inv = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > floor)
     return (v * inv) @ v.T
 
 

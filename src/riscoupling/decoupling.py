@@ -27,6 +27,7 @@ from .channel import (
     build_los_scenario,
     checked_inverse,
     loading_matrix,
+    psd_inv_sqrt,
     psd_sqrt,
     single_element_gain,
 )
@@ -121,9 +122,12 @@ def effective_channel(ch: ImpedanceChannel,
 
     At loads x' = reactance_transform(x, R) it gives the channel of ch behind
     its power-matching network at loads x.  Re(Z_R)^{-1/2} comes from factors,
-    which if given must be those of ch.z_r.
+    which if given must be those of the array whose Z_R ch holds.
     """
-    inv_sq = (factors or ArrayFactors()).re_inv_sqrt(ch.z_r)
+    if factors is None:
+        inv_sq = psd_inv_sqrt(ch.z_r.real)
+    else:
+        inv_sq = factors.check(ch.z_r).re_inv_sqrt()
     root_r = math.sqrt(ch.R)
     return ImpedanceChannel(ch.z_ds, ch.z_dr @ inv_sq * root_r, root_r * inv_sq @ ch.z_rs,
                             ch.R * np.eye(ch.n), ch.R)
@@ -173,12 +177,12 @@ def array_gain(s: Scenario, factors: ArrayFactors | None = None) -> float:
     """Decoupled channel gain of the LOS scenario, normalized by the single-element gain.
 
     A = 1/4 (|a_DR^T C^{-1} a_RS| + sum_n |a_DR^T C^{-1/2} e_n| |e_n^T C^{-1/2} a_RS|)^2
-    with C = Re(Z_R)/R (+ gamma I under Ohmic loss).  factors, if given, are
-    those of the scenario's array, shared by all scenarios of that array.
+    with C = Re(Z_R)/R (+ gamma I under Ohmic loss).  factors, if given, must
+    be those of the scenario's array; all scenarios of that array share them.
     """
     if s.spacing < MIN_SPACING:
         raise InvalidArgumentError(
             f"spacing {s.spacing} below {MIN_SPACING}: coupling matrix too ill-conditioned "
             "(closed_form_siso does not check)"
         )
-    return closed_form_siso(build_los_scenario(s), factors).gain / single_element_gain(s)
+    return closed_form_siso(build_los_scenario(s, factors), factors).gain / single_element_gain(s)

@@ -3,9 +3,9 @@
 A sweep spec is the Cartesian product of its axes (N, spacing, gamma_loss,
 angle pairs); every (scenario, method) pair yields one record, iterative
 methods one record per sweep.  Scenarios run array by array, the angle pairs
-innermost, so that each array's O(N^3) factorisations are made once per sweep
-and shared by its angle pairs.  Records are sorted, which fixes the order of
-the CSV rows.
+innermost, so that each array's impedance matrix Z_R is built once per sweep
+and shared, with its O(N^3) factorisations, by its angle pairs.  Records are
+sorted, which fixes the order of the CSV rows.
 """
 
 from __future__ import annotations
@@ -194,10 +194,11 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId, trace_elements: 
         elif method is MethodId.IGNORE_MC:
             gains = [ignore_mc_gain(s, factors)]
         elif method is MethodId.GRID_ORACLE:
-            gains = [grid_search_phase(build_los_scenario(s)) / single_element_gain(s)]
+            gains = [grid_search_phase(build_los_scenario(s, factors)) / single_element_gain(s)]
         else:
             runner = optimize if method is MethodId.ELEMENT_WISE else naive_elementwise
-            res = runner(build_los_scenario(s), RisState.zeros(s.n), spec.optimizer_config())
+            res = runner(build_los_scenario(s, factors), RisState.zeros(s.n),
+                         spec.optimizer_config())
             flags = ("saturation",) if res.saturation_events else ()
             flags += () if res.converged else ("not_converged",)
             # every trace entry, or one per completed sweep, taken where the sweep closed
@@ -214,17 +215,21 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId, trace_elements: 
             for i, g in enumerate(gains)]
 
 
-def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord]:
-    """Execute every (scenario, method) pair in turn; records are sorted to fix the CSV order.
+def _run_array(spec: SweepSpec, array: list[Scenario], trace_elements: bool) -> list[SweepRecord]:
+    """Every (scenario, method) pair of one array's scenarios.  They share one
+    ArrayFactors: its Z_R, built before the first row and passed to every row,
+    and its factorisations.  It is freed on return, before the next array's."""
+    factors = ArrayFactors(array[0])
+    return [r for s in array for m in spec.methods
+            for r in _run_method(spec, s, m, trace_elements, factors)]
 
-    The scenarios of one array share one ArrayFactors, dropped when the array
-    changes, so no factorisation outlives its array or the call.
-    """
+
+def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord]:
+    """Execute every (scenario, method) pair in turn, array by array; records
+    are sorted to fix the CSV order.  Nothing outlives its array or the call."""
     records = []
-    for _, array in groupby(spec.scenarios(), key=lambda s: (s.n, s.spacing, s.gamma_loss, s.R)):
-        factors = ArrayFactors()
-        records += [r for s in array for m in spec.methods
-                    for r in _run_method(spec, s, m, trace_elements, factors)]
+    for _, array in groupby(spec.scenarios(), key=lambda s: s.array):
+        records += _run_array(spec, list(array), trace_elements)
     records.sort(key=SweepRecord.sort_key)
     return records
 

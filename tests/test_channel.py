@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riscoupling import (
+    ArrayFactors,
     ImpedanceChannel,
     RisState,
     Scenario,
@@ -19,7 +20,7 @@ from riscoupling import (
     spectral_efficiency,
     steering_vector,
 )
-from riscoupling.channel import X_MAX, checked_inverse, loading_matrix
+from riscoupling.channel import PINV_EIG_FLOOR, X_MAX, _psd_eig, checked_inverse, loading_matrix
 from riscoupling.errors import (
     InvalidArgumentError,
     NotPSDError,
@@ -76,6 +77,45 @@ class TestCouplingMatrix:
             build_coupling_matrix(4, 0.5, 0.0)
         with pytest.raises(InvalidArgumentError):
             build_coupling_matrix(0, 0.5, 50.0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4.0), "4"])
+    @pytest.mark.parametrize("build", [lambda n: build_coupling_matrix(n, 0.5, 50.0),
+                                       lambda n: steering_vector(n, 0.5, 0.0)])
+    def test_n_must_be_an_integer(self, build, n):
+        # n = 2.5 would build a 3 x 3 matrix, and True a 1 x 1 one
+        with pytest.raises(InvalidArgumentError, match="n must be a positive integer"):
+            build(n)
+
+    def test_accepts_numpy_integers(self):
+        assert build_coupling_matrix(np.int64(3), 0.5, 50.0).shape == (3, 3)
+        assert steering_vector(np.int32(3), 0.5, 0.0).shape == (3,)
+
+    @staticmethod
+    def dense(n, spacing, R):
+        """The matrix as first written: the formula evaluated at all N^2 entries."""
+        idx = np.arange(n)
+        u = 2.0 * np.pi * spacing * np.abs(idx[:, None] - idx[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = R * np.sin(u) / u + 1j * R * np.cos(u) / u
+        np.fill_diagonal(z, R)
+        return z
+
+    CASES = [(d, r, g) for d in (0.01, 0.1, 0.25, 1 / 3, 0.5, 0.73, 1.0)
+             for r, g in ((50.0, 0.0), (73.1, 0.0), (50.0, 0.1), (1.0, 2.5))]
+
+    def test_lags_match_dense_formula_bit_for_bit(self):
+        """build_coupling_matrix, and the lossy Z_R of ArrayFactors, against the
+        N^2 formula: every case for N <= 12, one case per N up to 300."""
+        for n in range(1, 301):
+            for spacing, r, gamma in self.CASES if n <= 12 else [self.CASES[n % len(self.CASES)]]:
+                want = self.dense(n, spacing, r)
+                assert build_coupling_matrix(n, spacing, r).tobytes() == want.tobytes()
+                if gamma > 0:
+                    want = want + gamma * r * np.eye(n)
+                s = Scenario(n=n, spacing=spacing, alpha_tx=0.0, alpha_rx=0.0,
+                             gamma_loss=gamma, R=r)
+                z_r = ArrayFactors(s).z_r
+                assert z_r.shape == want.shape and z_r.tobytes() == want.tobytes()
 
 
 class TestSteeringVector:
@@ -284,6 +324,25 @@ class TestPsdSqrt:
         s = np.diag([1.0, 0.0])
         inv = psd_inv_sqrt(s)
         assert np.allclose(inv, np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_inv_sqrt_of_zero_matrix_is_zero(self, n):
+        # every eigenvalue sits at the floor 0: none is inverted, and 1/0 is not taken
+        assert np.array_equal(psd_inv_sqrt(np.zeros((n, n))), np.zeros((n, n)))
+
+    def test_inv_sqrt_matches_first_form_bit_for_bit(self):
+        rng = np.random.default_rng(45)
+        mats = [np.diag([1.0, 0.0]), np.diag([4.0, 1e-20, 9.0]), np.eye(3)]
+        mats += [build_coupling_matrix(n, d, 50.0).real
+                 for n in (2, 4, 8, 16) for d in (0.02, 0.1, 0.25, 0.5)]
+        for n in (1, 3, 6):
+            a = rng.standard_normal((n, n + 1))
+            mats.append(a @ a.T)
+        for s in mats:
+            w, v = _psd_eig(s)
+            floor = PINV_EIG_FLOOR * w.max()
+            want = (v * np.where(w > floor, 1.0 / np.sqrt(np.maximum(w, floor)), 0.0)) @ v.T
+            assert psd_inv_sqrt(s).tobytes() == want.tobytes()
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):

@@ -393,6 +393,25 @@ class TestLayering:
         assert elementwise.X_MAX is decoupling.X_MAX is channel.X_MAX
         assert elementwise.PI_DEAD_ZONE is decoupling.PI_DEAD_ZONE is channel.PI_DEAD_ZONE
 
+    def test_only_array_factors_builds_z_r(self):
+        """Inside the package Z_R is built in one place, so each array has one."""
+        callers = []
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    if getattr(func, "id", getattr(func, "attr", None)) == "build_coupling_matrix":
+                        callers.append(scope)
+                visit(child, scope)
+
+        for path in sorted(Path(channel.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        assert callers == ["channel.ArrayFactors.__init__"]
+
     def test_dense_linear_algebra_only_in_channel(self):
         """channel.py binds numpy's LAPACK gufuncs once; every other module
         inverts, solves and takes log-determinants through it (eigh excepted)."""

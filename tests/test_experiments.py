@@ -10,7 +10,11 @@ from riscoupling import (
     RisState,
     Scenario,
     array_gain,
+    baselines,
     build_los_scenario,
+    closed_form_siso,
+    decoupling,
+    effective_channel,
     experiments,
     ignore_mc_gain,
     optimize,
@@ -18,7 +22,7 @@ from riscoupling import (
 from riscoupling import channel as channel_module
 from riscoupling import cli
 from riscoupling.cli import main
-from riscoupling.errors import NotPSDError, NumericallySingularError
+from riscoupling.errors import InvalidArgumentError, NotPSDError, NumericallySingularError
 from riscoupling.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -175,7 +179,32 @@ methods = Decoupled, IgnoreMC
 
 
 class TestArraySharing:
-    """run_sweep factorises each array once and shares the factors across its angle pairs."""
+    """run_sweep builds each array's Z_R and factorisations once and shares them
+    across its angle pairs."""
+
+    def test_one_z_r_per_array_per_call(self, monkeypatch):
+        built, channels = [], []
+
+        def counted(n, spacing, R, _original=channel_module.build_coupling_matrix):
+            built.append(_original(n, spacing, R))
+            return built[-1]
+
+        def recorded(s, factors=None, _original=build_los_scenario):
+            channels.append((s, _original(s, factors)))
+            return channels[-1][1]
+        monkeypatch.setattr(channel_module, "build_coupling_matrix", counted)
+        for module in (decoupling, baselines):
+            monkeypatch.setattr(module, "build_los_scenario", recorded)
+        spec = parse_config(SHARED_ARRAYS)
+        assert len(run_sweep(spec)) == 24
+        assert len(built) == 4 and len(channels) == 24
+        # every row's channel holds its array's one Z_R, read-only
+        by_array = {}
+        for s, ch in channels:
+            by_array.setdefault(s.array, set()).add(id(ch.z_r))
+            assert not ch.z_r.flags.writeable
+            assert ch.z_r.tobytes() == build_los_scenario(s).z_r.tobytes()
+        assert len(by_array) == 4 and all(len(ids) == 1 for ids in by_array.values())
 
     def test_one_factorisation_per_array_per_call(self, monkeypatch):
         calls = {"psd_inv_sqrt": 0, "checked_inverse": 0}
@@ -207,8 +236,8 @@ class TestArraySharing:
         by_array = {}
         for s, factors in seen:
             by_array.setdefault((s.spacing, s.gamma_loss), set()).add(id(factors))
-            z_r = build_los_scenario(s).z_r
-            for shared in (factors.inverse(z_r), factors.re_inv_sqrt(z_r)):
+            assert factors.array == s.array
+            for shared in (factors.z_r, factors.inverse(), factors.re_inv_sqrt()):
                 with pytest.raises(ValueError, match="read-only"):
                     shared[0, 0] = 0.0
         assert len(seen) == 24 and len(by_array) == 4
@@ -216,13 +245,15 @@ class TestArraySharing:
         assert len(set.union(*by_array.values())) == 4
 
     def test_factors_kept_read_only(self):
-        z_r = build_los_scenario(Scenario(n=4, spacing=0.25, alpha_tx=0.0, alpha_rx=np.pi)).z_r
-        factors = ArrayFactors()
-        inv, inv_sqrt = factors.inverse(z_r), factors.re_inv_sqrt(z_r)
-        assert factors.inverse(z_r) is inv and factors.re_inv_sqrt(z_r) is inv_sqrt
+        s = Scenario(n=4, spacing=0.25, alpha_tx=0.0, alpha_rx=np.pi)
+        factors = ArrayFactors(s)
+        z_r = factors.z_r
+        assert z_r.tobytes() == build_los_scenario(s).z_r.tobytes()
+        inv, inv_sqrt = factors.inverse(), factors.re_inv_sqrt()
+        assert factors.inverse() is inv and factors.re_inv_sqrt() is inv_sqrt
         np.testing.assert_allclose(inv @ z_r, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(inv_sqrt @ z_r.real @ inv_sqrt, np.eye(4), atol=1e-12)
-        for shared in (inv, inv_sqrt):
+        for shared in (z_r, inv, inv_sqrt):
             assert not shared.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 shared += 1.0
@@ -254,6 +285,46 @@ class TestArraySharing:
                 assert r.flags == (f"error:{error}",) and r.array_gain == 0.0
         # a factorisation that raised is not kept: each N = 3 row tries again
         assert calls.count("inverse") == calls.count("inv_sqrt") == 4 + 12
+
+
+def end_fire(n, spacing):
+    return Scenario(n=n, spacing=spacing, alpha_tx=0.0, alpha_rx=np.pi)
+
+
+# each takes a scenario and the factors given for it
+FACTOR_USERS = {
+    "array_gain": array_gain,
+    "ignore_mc_gain": ignore_mc_gain,
+    "build_los_scenario": build_los_scenario,
+    "effective_channel": lambda s, f: effective_channel(build_los_scenario(s), f),
+    "closed_form_siso": lambda s, f: closed_form_siso(build_los_scenario(s), f),
+}
+
+
+class TestFactorsOfAnotherArray:
+    """Factors are refused for a scenario or channel of another array, where
+    they would give another array's gains (33.9 for 3832.4 in array_gain)."""
+
+    @pytest.mark.parametrize("name", FACTOR_USERS)
+    @pytest.mark.parametrize("other", [end_fire(8, 0.25), end_fire(4, 0.1),
+                                       Scenario(n=8, spacing=0.1, alpha_tx=0.0, alpha_rx=np.pi,
+                                                gamma_loss=0.1)])
+    def test_refused(self, name, other):
+        factors = ArrayFactors(other)
+        factors.inverse(), factors.re_inv_sqrt()
+        with pytest.raises(InvalidArgumentError, match="factors of array"):
+            FACTOR_USERS[name](end_fire(8, 0.1), factors)
+
+    @pytest.mark.parametrize("name", FACTOR_USERS)
+    def test_accepted_for_any_angles_of_the_array(self, name):
+        s = end_fire(8, 0.1)
+        factors = ArrayFactors(Scenario(n=8, spacing=0.1, alpha_tx=1.0, alpha_rx=0.3))
+        assert repr(FACTOR_USERS[name](s, factors)) == repr(FACTOR_USERS[name](s, None))
+
+    def test_array_gain_values(self):
+        s = end_fire(8, 0.1)
+        assert array_gain(s, ArrayFactors(s)) == array_gain(s) == pytest.approx(3832.4, rel=1e-4)
+        assert ignore_mc_gain(s, ArrayFactors(s)) == pytest.approx(8.32, rel=1e-3)
 
 
 def strip_wall_time(text: str) -> list[str]:
