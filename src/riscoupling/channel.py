@@ -10,23 +10,26 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.linalg._umath_linalg as _umath_linalg
 
-from .errors import InvalidArgumentError, NotPSDError, NumericallySingularError
+from .errors import EigenvalueError, InvalidArgumentError, NotPSDError, NumericallySingularError
 
-# The LAPACK gufuncs behind np.linalg.inv, solve and slogdet, bound once for
-# complex 2-D input.  At the sizes the optimizer works on (N <= 16 in most
-# runs, K, M <= 4) the public wrappers' argument checks cost more than the
-# LAPACK call itself.  numpy's own np.linalg imports _umath_linalg when it
-# loads, so every numpy this package runs on has it.  These three bindings are
-# the package's only dense inverse, solve and log-determinant; solve_small is
-# np.linalg.solve(a, b) for complex 2-D a and b, without the wrapper's checks.
+# The LAPACK gufuncs behind np.linalg.inv, solve, slogdet and eigh, bound once
+# for complex 2-D input (eigh: real symmetric).  At the sizes the optimizer
+# works on (N <= 16 in most runs, K, M <= 4) the public wrappers' argument
+# checks cost more than the LAPACK call itself.  numpy's own np.linalg imports
+# _umath_linalg when it loads, so every numpy this package runs on has it.
+# These four bindings are the package's only dense inverse, solve,
+# log-determinant and eigendecomposition; solve_small is np.linalg.solve(a, b)
+# for complex 2-D a and b, without the wrapper's checks.
 _inv = functools.partial(_umath_linalg.inv, signature="D->D")
 solve_small = functools.partial(_umath_linalg.solve, signature="DD->D")
 _slogdet = functools.partial(_umath_linalg.slogdet, signature="D->Dd")
+_eigh = functools.partial(_umath_linalg.eigh_lo, signature="d->dd")
 
 # Reject loading matrices whose 1-norm condition estimate exceeds this.
 CONDITION_LIMIT = 1e14
@@ -143,15 +146,13 @@ class ImpedanceChannel:
             )
         if not 0.0 < self.R < np.inf:
             raise InvalidArgumentError("reference resistance must be positive and finite")
-        blocks = (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs), ("z_r", z_r))
+        blocks = (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs))
         for name, block in blocks:
             if not np.all(np.isfinite(block)):
                 raise InvalidArgumentError(f"{name} must be finite")
-        if not np.array_equal(z_r, z_r.T):
-            scale = max(np.abs(z_r).max(), 1.0)
-            if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
-                raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
-        for name, block in blocks:
+        if _VALIDATED_Z_R.get(id(z_r)) is not z_r or z_r.flags.writeable:
+            _check_z_r(z_r)
+        for name, block in blocks + (("z_r", z_r),):
             object.__setattr__(self, name, block)
 
     @property
@@ -165,6 +166,21 @@ class ImpedanceChannel:
     @property
     def m(self) -> int:
         return self.z_ds.shape[1]
+
+
+def _check_z_r(z_r: np.ndarray) -> None:
+    """Refuse an array impedance matrix that is not finite and complex symmetric."""
+    if not np.all(np.isfinite(z_r)):
+        raise InvalidArgumentError("z_r must be finite")
+    if not np.array_equal(z_r, z_r.T):
+        scale = max(np.abs(z_r).max(), 1.0)
+        if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
+            raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
+
+
+# The read-only Z_R of every live ArrayFactors, by id: each passed _check_z_r
+# once, so a channel given that exact object skips the O(N^2) checks.
+_VALIDATED_Z_R: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def build_coupling_matrix(n: int, spacing: float, R: float) -> np.ndarray:
@@ -239,8 +255,9 @@ def _norm1(a: np.ndarray) -> float:
 # which is refused below, so the warning is not wanted.  As a decorator
 # np.errstate costs half what it costs as a with-block.
 @np.errstate(all="ignore")
-def checked_inverse(z_load: np.ndarray) -> np.ndarray:
-    """Inverse of a complex loading matrix, refused above CONDITION_LIMIT.
+def inverse_and_condition(z_load: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse of a complex loading matrix and its condition number, refused
+    above CONDITION_LIMIT.
 
     The 1-norm condition number ||A||_1 ||A^{-1}||_1 comes from this one
     inverse; an exactly singular matrix, whose inverse LAPACK returns as NaN,
@@ -255,7 +272,27 @@ def checked_inverse(z_load: np.ndarray) -> np.ndarray:
             f"loading matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
             condition=cond,
         )
-    return z_inv
+    return z_inv, float(cond)
+
+
+def checked_inverse(z_load: np.ndarray) -> np.ndarray:
+    """The inverse of inverse_and_condition, without its condition number."""
+    return inverse_and_condition(z_load)[0]
+
+
+@np.errstate(all="ignore")
+def eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(s) of a real symmetric 2-D array: ascending eigenvalues
+    and orthonormal eigenvectors, from its lower triangle.
+
+    LAPACK signals non-convergence by NaN results, which are refused, as are
+    the NaNs a non-finite s gives.
+    """
+    w, v = _eigh(s)
+    if not np.isfinite(w).all():
+        raise EigenvalueError(f"symmetric eigendecomposition of a {s.shape[0]} x {s.shape[0]} "
+                              "matrix did not converge or met a non-finite entry")
+    return w, v
 
 
 def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
@@ -279,7 +316,9 @@ class ArrayFactors:
         z_r = build_coupling_matrix(s.n, s.spacing, s.R)
         if s.gamma_loss > 0:
             z_r = z_r + s.gamma_loss * s.R * np.eye(s.n)
+        _check_z_r(z_r)
         self.z_r = _read_only(z_r)
+        _VALIDATED_Z_R[id(z_r)] = z_r
         self._inverse = self._re_inv_sqrt = None
 
     def check(self, z_r: np.ndarray) -> ArrayFactors:
@@ -354,7 +393,7 @@ def _psd_eig(s: np.ndarray):
         if np.abs(s - s.T).max() > PSD_TOL * max(np.abs(s).max(), 1.0):
             raise InvalidArgumentError("matrix must be symmetric")
         s = (s + s.T) / 2.0
-    w, v = np.linalg.eigh(s)
+    w, v = eigh(s)
     tol = PSD_TOL * max(abs(w[0]), abs(w[-1]), 1.0)
     if w[0] < -tol:
         raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")

@@ -7,10 +7,17 @@ one column of G in O(N k) and one block product every BLOCK updates folds the
 k held updates in, so a full sweep over N elements costs O(N^3) instead of the
 O(N^4) of dense re-inversion per element.
 
-For the SISO objective, coordinate ascent can crawl for thousands of sweeps
-along narrow curved ridges of |z|^2.  Once it has settled into such slow
-convergence, each sweep ends with a safeguarded trust-region step built from
-the analytic gradient and Hessian (see siso_derivatives).
+Under either objective, the SISO gain |z|^2 or the spectral efficiency
+log2 det(I + Z Z^H), coordinate ascent can crawl for thousands of sweeps along
+narrow curved ridges.  Once it has settled into such slow convergence, each
+sweep ends with a safeguarded trust-region step built from the objective's
+analytic gradient and Hessian (siso_derivatives, se_derivatives).
+
+An element update is skipped (theta = -1, the load kept) when its gain is
+below what the double-precision objective resolves.  The SISO update skips
+phases within PI_DEAD_ZONE of pi.  The spectral-efficiency update skips a
+closed-form gain of at most SKIP_ROUNDOFF * eps * cond * |objective|, where
+cond is the condition number of the context's last dense inverse.
 """
 
 from __future__ import annotations
@@ -18,18 +25,21 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channel import (
+    LOG2,
     PI_DEAD_ZONE,
     X_MAX,
     ImpedanceChannel,
     RisState,
-    checked_inverse,
+    eigh,
     identity,
+    inverse_and_condition,
     loading_matrix,
     solve_small,
     spectral_efficiency,
@@ -41,7 +51,7 @@ from .errors import (
     NumericallySingularError,
 )
 
-# Acceleration of the SISO sweep.  It engages once coordinate ascent has spent
+# Acceleration of the sweep.  It engages once coordinate ascent has spent
 # ACCEL_WINDOW consecutive sweeps in slow geometric convergence, each sweep
 # gaining between ACCEL_RATIO and 1 times what the sweep before it gained.
 # Until then coordinate ascent alone picks the local maximum it heads for.
@@ -50,6 +60,16 @@ from .errors import (
 ACCEL_WINDOW = 30
 ACCEL_RATIO = 0.9
 ACCEL_STIFF = 1e-2
+
+# The spectral-efficiency update is taken only if its gain exceeds
+# SKIP_ROUNDOFF * eps * cond * |objective|, cond being the 1-norm condition
+# number of the context's last dense inverse: a smaller gain is not resolved,
+# and the trace can record it as a dip.  The rank-one objective's change
+# differed from the closed-form gain by up to about 100 eps cond |objective|
+# on random MIMO channels below cond 3e5; above that the error grows faster
+# than cond.
+SKIP_ROUNDOFF = 100.0
+EPS = sys.float_info.epsilon
 
 # The trust-region shift: Newton steps on the secular equation that place the
 # bisection's certified bracket, and the bracket's half-width relative to its
@@ -89,12 +109,13 @@ class RankOneContext:
     G is held as g0 - p[:k]^T q[:k]: the stored inverse less the k rank-one
     updates made since the last block product (the delayed update of McDaniel
     et al., J. Chem. Phys. 2017).  u = Z_DR G, v = G Z_RS and
-    z_bar = Z_DS - Z_DR G Z_RS are kept current by apply_update.  On a scalar
-    context (K = M = 1) the per-element math runs on Python complex numbers.
+    z_bar = Z_DS - Z_DR G Z_RS are kept current by apply_update.  cond is the
+    1-norm condition number of the last dense inverse.  On a scalar context
+    (K = M = 1) the per-element math runs on Python complex numbers.
     """
 
-    def __init__(self, ch: ImpedanceChannel, z_inv: np.ndarray, x: np.ndarray):
-        self.ch, self.x = ch, x
+    def __init__(self, ch: ImpedanceChannel, z_inv: np.ndarray, x: np.ndarray, cond: float):
+        self.ch, self.x, self.cond = ch, x, cond
         self.scalar = ch.k == 1 and ch.m == 1
         self.p, self.q = np.empty((2, BLOCK, ch.n), dtype=complex)
         self.z_inv = z_inv
@@ -140,7 +161,8 @@ class ElementParams(NamedTuple):
 
 def init_context(ch: ImpedanceChannel, state: RisState) -> RankOneContext:
     """Dense-inverse initialization of the update cache."""
-    return RankOneContext(ch, checked_inverse(loading_matrix(ch.z_r, state.x)), state.x.copy())
+    z_inv, cond = inverse_and_condition(loading_matrix(ch.z_r, state.x))
+    return RankOneContext(ch, z_inv, state.x.copy(), cond)
 
 
 def element_params(ctx: RankOneContext, n: int) -> ElementParams:
@@ -195,15 +217,26 @@ def gram_factors(p: ElementParams) -> tuple[np.ndarray, np.ndarray]:
     return a_mat, f
 
 
-def optimal_theta_se(a_mat: np.ndarray, f: np.ndarray) -> complex:
+def optimal_theta_se(a_mat: np.ndarray, f: np.ndarray, min_gain: float = -math.inf) -> complex:
     """Unit-modulus theta maximizing log2 det(A + F thetabar thetabar^H F^H).
 
-    When theta has no effect (c12 = 0, as at F = 0) the element keeps its load: theta = -1.
+    With C = F^H A^{-1} F the determinant is det(A) (1 + thetabar^H C thetabar),
+    so theta = c12/|c12| gains
+    log2((1 + c11 + c22 + 2|c12|) / (1 + c11 + c22 - 2 Re c12)) bits over
+    theta = -1, which keeps the element's load.  theta = -1 is returned when
+    that gain is at most min_gain, or when theta has no effect (c12 = 0, as at
+    F = 0).
     """
-    c12 = (f.conj().T @ solve_small(a_mat, f)).item(0, 1)     # A >= I is never singular
+    c = f.conj().T @ solve_small(a_mat, f)      # A >= I is never singular
+    c12 = c.item(0, 1)
     if c12 == 0:
         return -1.0 + 0.0j
-    return c12 / abs(c12)
+    r = abs(c12)
+    # the gain as log1p of the ratio less one, which needs no subtraction
+    stay = 1.0 + (c.item(0, 0) + c.item(1, 1)).real - 2.0 * c12.real
+    if math.log1p(2.0 * (r + c12.real) / stay) / LOG2 <= min_gain:
+        return -1.0 + 0.0j
+    return c12 / r
 
 
 def theta_to_delta_x(theta: complex, g: complex) -> tuple[float, bool]:
@@ -257,7 +290,7 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
 
 def refactor(ctx: RankOneContext) -> None:
     """Dense re-inversion to contain rank-one roundoff drift."""
-    ctx.z_inv = checked_inverse(loading_matrix(ctx.ch.z_r, ctx.x))
+    ctx.z_inv, ctx.cond = inverse_and_condition(loading_matrix(ctx.ch.z_r, ctx.x))
 
 
 @dataclass
@@ -305,6 +338,30 @@ def siso_derivatives(ctx: RankOneContext) -> tuple[np.ndarray, np.ndarray]:
     return grad, hess
 
 
+def se_derivatives(ctx: RankOneContext) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of log2 det(I + Z Z^H) with respect to the reactances x.
+
+    With U = Z_DR G and V = G Z_RS, dZ/dx_n = j u_n v_n^T and
+    d2Z/dx_m dx_n = G_mn (u_m v_n^T + u_n v_m^T), as in siso_derivatives.  With
+    P = (I + Z Z^H)^{-1}, T = V Z^H P U, Q = U^H P U and
+    R = I - Z^H P Z = (I + Z^H Z)^{-1}:
+    grad = (2/ln 2) Re(j diag T) and
+    ln 2 hess = 2 Re[G o (T + T^T)] + 2 Re[T o T^T] + 2 Re[(V R V^H) o Q^T].
+    One K x K solve gives both P U and P Z.  O(N^2 (K + M)) given the cached inverse.
+    """
+    g_inv = ctx.z_inv
+    u, v, z = ctx.u, ctx.v, ctx.z_bar
+    k, n = u.shape
+    z_h = z.conj().T
+    p_uz = solve_small(identity(k) + z @ z_h, np.concatenate((u, z), axis=1))
+    t = v @ (z_h @ p_uz[:, :n])
+    q = u.conj().T @ p_uz[:, :n]
+    r = identity(z.shape[1]) - z_h @ p_uz[:, n:]
+    grad = (-2.0 / LOG2) * t.diagonal().imag              # Re(j t_nn) = -Im t_nn
+    hess = (2.0 / LOG2) * (g_inv * (t + t.T) + t * t.T + (v @ r @ v.conj().T) * q.T).real
+    return grad, hess
+
+
 def trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
     """Maximizer of grad.s + s.hess.s/2 over |s| <= radius.
 
@@ -328,7 +385,7 @@ def trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.n
       >= b is not, which a comparison decides.  A side whose certificate fails
       stays at lo or hi, where no midpoint falls.
     """
-    w, v = np.linalg.eigh(hess)
+    w, v = eigh(hess)
     gt = v.T @ grad
     if w[-1] < 0.0:
         s = -gt / w
@@ -370,11 +427,15 @@ def trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.n
     return v @ (gt / (hi - w))
 
 
-class _SisoAccelerator:
-    """End-of-sweep trust-region step on |z|^2 in the phase-like variables y = arctan(x/R).
+Derivatives = Callable[[RankOneContext], tuple[np.ndarray, np.ndarray]]
 
-    Works in y rather than x because elements drift toward open circuit
-    (|x| -> inf), where |z|^2 is smooth in y but flat in x.  Slow sweeps crawl
+
+class _Accelerator:
+    """End-of-sweep trust-region step on the objective in the phase-like variables y = arctan(x/R).
+
+    derivatives(ctx) gives the objective's gradient and Hessian in x.  Works in
+    y rather than x because elements drift toward open circuit (|x| -> inf),
+    where the objective is smooth in y but flat in x.  Slow sweeps crawl
     along narrow curved ridges, so the step runs from crest to crest: a Newton
     step along the strongly curved directions moves the point onto the crest,
     the trust-region step is taken from there, and its end point is moved back
@@ -386,8 +447,8 @@ class _SisoAccelerator:
     one backend and not the other.
     """
 
-    def __init__(self, cfg: OptimizerConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: OptimizerConfig, derivatives: Derivatives):
+        self.cfg, self.derivatives = cfg, derivatives
         self.radius: float | None = None     # trust radius in y, set on engaging
         self.slow_sweeps = 0
         self.last_y: np.ndarray | None = None
@@ -395,7 +456,7 @@ class _SisoAccelerator:
 
     def _derivatives(self, ctx: RankOneContext) -> tuple[np.ndarray, np.ndarray]:
         r = ctx.ch.R
-        grad, hess = siso_derivatives(ctx)
+        grad, hess = self.derivatives(ctx)
         jac = r + ctx.x**2 / r                           # dx/dy
         hess_y = jac[:, None] * hess * jac[None, :] + np.diag(grad * 2.0 * ctx.x * jac / r)
         return jac * grad, hess_y
@@ -407,7 +468,7 @@ class _SisoAccelerator:
     def _to_crest(self, ctx: RankOneContext, y: np.ndarray) -> tuple[np.ndarray, RankOneContext]:
         """Newton step along the strongly curved directions of the Hessian."""
         grad, hess = self._derivatives(ctx)
-        w, v = np.linalg.eigh(hess)
+        w, v = eigh(hess)
         stiff = w < -ACCEL_STIFF * np.abs(w).max()
         v_stiff = v[:, stiff]
         y_crest = y - v_stiff @ ((v_stiff.T @ grad) / w[stiff])
@@ -455,6 +516,29 @@ class _SisoAccelerator:
 
 
 Update = Callable[[RankOneContext, int, float], None]
+Step = Callable[[ElementParams, float], complex]
+
+
+def _siso_step(p: ElementParams, min_gain: float) -> complex:
+    """The SISO element step; its skip rule is PI_DEAD_ZONE, so min_gain is unused."""
+    return optimal_theta_siso(p.z0, p.a, p.b)
+
+
+def _se_step(p: ElementParams, min_gain: float) -> complex:
+    """The spectral-efficiency element step, theta = -1 unless it gains more than min_gain."""
+    return optimal_theta_se(*gram_factors(p), min_gain)
+
+
+def _objective_pieces(cfg: OptimizerConfig, ch: ImpedanceChannel) -> tuple[Step, Derivatives]:
+    """The objective's element step and its derivatives in x; _objective gives its value.
+
+    Looked up on each run, so a function rebound on this module is the one run.
+    """
+    if cfg.objective == SISO_GAIN:
+        if ch.k != 1 or ch.m != 1:
+            raise InvalidArgumentError("siso_gain objective requires K = M = 1")
+        return _siso_step, siso_derivatives
+    return _se_step, se_derivatives
 
 
 def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
@@ -464,26 +548,25 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
     update(ctx, n, dx) applies x_n += dx to the cached inverse and channel: the
     rank-one lemma (apply_update) or a fresh dense inversion.  Every element
     takes the same step; one that should not move gets theta = -1 and so
-    dx = 0, which update treats as a no-op.  Everything else,
-    including the acceleration step, is common, so both backends follow the
-    same trajectory up to roundoff; on badly conditioned runs the acceleration
-    step can amplify that roundoff.
+    dx = 0, which update treats as a no-op: an update skipped as roundoff
+    records the unchanged objective.  Everything else, including the
+    acceleration step, is common, so both backends follow the same trajectory
+    up to roundoff; on badly conditioned runs the acceleration step can
+    amplify that roundoff.
     """
-    if cfg.objective == SISO_GAIN and (ch.k != 1 or ch.m != 1):
-        raise InvalidArgumentError("siso_gain objective requires K = M = 1")
+    step, derivatives = _objective_pieces(cfg, ch)
     ctx = init_context(ch, x0)
     obj = _objective(cfg, ctx.z_bar)
     trace = [obj]
     sweep_ends = []
-    accelerate = _SisoAccelerator(cfg) if cfg.objective == SISO_GAIN else None
+    accelerate = _Accelerator(cfg, derivatives)
     saturations = 0
     converged = False
     for sweep in range(cfg.max_sweeps):
         prev = obj
         for n in range(ch.n):
             p = element_params(ctx, n)
-            theta = (optimal_theta_siso(p.z0, p.a, p.b) if cfg.objective == SISO_GAIN
-                     else optimal_theta_se(*gram_factors(p)))
+            theta = step(p, SKIP_ROUNDOFF * EPS * ctx.cond * abs(obj))
             dx, saturated = theta_to_delta_x(theta, p.g)
             saturations += int(saturated)
             update(ctx, n, dx)
@@ -492,11 +575,10 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
         if (sweep + 1) % REFACTOR_EVERY == 0:
             refactor(ctx)
             obj = _objective(cfg, ctx.z_bar)
-        if accelerate is not None:
-            stepped = accelerate(ctx, prev, obj)
-            if stepped is not None:
-                obj, ctx = stepped
-                trace.append(obj)
+        stepped = accelerate(ctx, prev, obj)
+        if stepped is not None:
+            obj, ctx = stepped
+            trace.append(obj)
         sweep_ends.append(len(trace) - 1)
         if abs(obj - prev) <= cfg.tol * max(abs(prev), 1e-300):
             converged = True
@@ -513,9 +595,9 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
 def optimize(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig | None = None) -> OptimizeResult:
     """Sweep elements 1..N with closed-form per-element updates until converged.
 
-    The per-element update is exact and an acceleration step (SISO objective
-    only) is kept only if it raises the objective by more than cfg.tol
-    relative, so the trace is non-decreasing.  Stops when the relative
+    The per-element update is exact and an acceleration step is kept only if
+    it raises the objective by more than cfg.tol relative, so the trace is
+    non-decreasing.  Stops when the relative
     improvement over a sweep, acceleration step included, drops below cfg.tol.
     """
     return coordinate_ascent(ch, x0, cfg or OptimizerConfig(), apply_update)

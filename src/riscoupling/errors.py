@@ -32,3 +32,7 @@ class ChangeOfVariablesError(RisCouplingError):
 
 class DegenerateUpdateError(RisCouplingError):
     """A rank-one inverse update hit a (near-)zero denominator."""
+
+
+class EigenvalueError(RisCouplingError):
+    """A symmetric eigendecomposition did not converge or met a non-finite entry."""

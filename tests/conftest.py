@@ -5,6 +5,8 @@ The timing checks (C13) depend on the BLAS library and its thread count, so
 the log of every run names them.
 """
 
+import ctypes
+import glob
 import os
 
 import numpy as np
@@ -26,6 +28,20 @@ def random_channel(rng, n, k=1, m=1, spacing=0.3):
     return ImpedanceChannel(z(k, m), 50.0 * z(k, n), 50.0 * z(n, m), z_r, 50.0)
 
 
+def _blas_threads() -> str:
+    """The thread count numpy's bundled OpenBLAS runs with, read (never set)
+    through its exported getter; "unknown" where the library or symbol is absent."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            getter = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.restype = ctypes.c_int
+        return str(getter())
+    return "unknown"
+
+
 def _environment() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -33,7 +49,8 @@ def _environment() -> str:
     except (TypeError, KeyError):        # numpy < 1.26 has no mode="dicts"
         blas = "unknown"
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return f"numpy {np.__version__}, BLAS {blas}, OPENBLAS_NUM_THREADS={threads}"
+    return (f"numpy {np.__version__}, BLAS {blas}, OPENBLAS_NUM_THREADS={threads}, "
+            f"BLAS threads {_blas_threads()}")
 
 
 def pytest_report_header(config):

@@ -20,8 +20,10 @@ from riscoupling import (
     spectral_efficiency,
     steering_vector,
 )
-from riscoupling.channel import PINV_EIG_FLOOR, X_MAX, _psd_eig, checked_inverse, loading_matrix
+from riscoupling import channel as channel_module
+from riscoupling.channel import PINV_EIG_FLOOR, X_MAX, _psd_eig, checked_inverse, eigh, loading_matrix
 from riscoupling.errors import (
+    EigenvalueError,
     InvalidArgumentError,
     NotPSDError,
     NumericallySingularError,
@@ -351,6 +353,70 @@ class TestPsdSqrt:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidArgumentError):
             psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestEigh:
+    @pytest.mark.parametrize("n", [1, 13, 40, 112])
+    def test_matches_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        for s in (a + a.T, a @ a.T, build_coupling_matrix(n, 0.2, 50.0).real):
+            w, v = eigh(s)
+            want_w, want_v = np.linalg.eigh(s)
+            assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_raises_package_error(self, value):
+        s = np.eye(3)
+        s[1, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigenvalueError):
+                eigh(s)
+            with pytest.raises(EigenvalueError):
+                psd_sqrt(s)
+
+
+class TestFactorsValidateZrOnce:
+    """A channel built on an ArrayFactors' own read-only Z_R skips the O(N^2)
+    finiteness and symmetry checks the factors made once; any other z_r is
+    checked."""
+
+    S = Scenario(n=6, spacing=0.2, alpha_tx=0.3, alpha_rx=1.9)
+
+    def test_rows_of_an_array_skip_the_checks(self, monkeypatch):
+        factors = ArrayFactors(self.S)
+        checked = []
+        monkeypatch.setattr(channel_module, "_check_z_r", checked.append)
+        for _ in range(3):
+            assert build_los_scenario(self.S, factors).z_r is factors.z_r
+        assert checked == []
+        ImpedanceChannel(np.zeros((1, 1)), np.ones((1, 6)), np.ones((6, 1)), factors.z_r.copy(), 50.0)
+        assert len(checked) == 1
+
+    @pytest.mark.parametrize("corrupt", ["nan", "asymmetric"])
+    def test_foreign_z_r_refused(self, corrupt):
+        factors = ArrayFactors(self.S)
+        z_r = factors.z_r.copy()
+        if corrupt == "nan":
+            z_r[2, 3] = np.nan
+            match = "z_r must be finite"
+        else:
+            z_r[2, 3] += 1.0
+            match = "complex symmetric"
+        blocks = (np.zeros((1, 1)), np.ones((1, 6)), np.ones((6, 1)))
+        with pytest.raises(InvalidArgumentError, match=match):
+            ImpedanceChannel(*blocks, z_r, 50.0)
+        z_r.setflags(write=False)           # read-only, yet not the factors' own
+        with pytest.raises(InvalidArgumentError, match=match):
+            ImpedanceChannel(*blocks, z_r, 50.0)
+
+    def test_factors_z_r_made_writable_is_checked_again(self):
+        factors = ArrayFactors(self.S)
+        factors.z_r.setflags(write=True)
+        factors.z_r[2, 3] = np.inf
+        with pytest.raises(InvalidArgumentError, match="z_r must be finite"):
+            build_los_scenario(self.S, factors)
 
 
 class TestStateValidation:

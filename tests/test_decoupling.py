@@ -414,8 +414,8 @@ class TestLayering:
 
     def test_dense_linear_algebra_only_in_channel(self):
         """channel.py binds numpy's LAPACK gufuncs once; every other module
-        inverts, solves and takes log-determinants through it (eigh excepted)."""
-        banned = {"inv", "solve", "slogdet"}
+        inverts, solves, takes log-determinants and eigendecomposes through it."""
+        banned = {"inv", "solve", "slogdet", "eigh", "eigvalsh"}
         offenders = []
         for path in sorted(Path(channel.__file__).parent.glob("*.py")):
             if path.name == "channel.py":

@@ -8,6 +8,7 @@ from riscoupling import (
     OptimizerConfig,
     RisState,
     Scenario,
+    build_coupling_matrix,
     build_los_scenario,
     channel_gain,
     evaluate_channel,
@@ -27,6 +28,7 @@ from riscoupling.elementwise import (
     optimal_theta_siso,
     optimize,
     refactor,
+    se_derivatives,
     siso_derivatives,
     theta_to_delta_x,
     trust_region_step,
@@ -495,6 +497,139 @@ class TestSisoDerivatives:
             g_minus, _ = siso_derivatives(init_context(ch, RisState(x - e)))
             np.testing.assert_allclose(hess[:, n], (g_plus - g_minus) / (2 * h),
                                        rtol=1e-5, atol=1e-8 * np.abs(hess).max())
+
+
+def _se_at(ch, x):
+    return spectral_efficiency(evaluate_channel(ch, RisState(x)))
+
+
+def _se_channel(rng, n, k, m, spacing=0.25):
+    """A K x M link of spectral efficiency 5-20 bits over an N-element ULA."""
+    ch = random_channel(rng, n, k=k, m=m, spacing=spacing)
+    return ImpedanceChannel(ch.z_ds, ch.z_dr / 12.5, ch.z_rs / 12.5, ch.z_r, 50.0)
+
+
+class TestSeDerivatives:
+    H = 3e-3        # ohms
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_match_central_differences_in_x(self, k, m):
+        rng = np.random.default_rng(100 + 10 * k + m)
+        n = 6
+        ch = _se_channel(rng, n, k, m)
+        x = rng.uniform(-80, 80, n)
+        grad, hess = se_derivatives(init_context(ch, RisState(x)))
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = self.H
+            fd = (_se_at(ch, x + e) - _se_at(ch, x - e)) / (2 * self.H)
+            assert abs(grad[i] - fd) <= 1e-6 * np.abs(grad).max()
+            g_plus, _ = se_derivatives(init_context(ch, RisState(x + e)))
+            g_minus, _ = se_derivatives(init_context(ch, RisState(x - e)))
+            np.testing.assert_allclose(hess[:, i], (g_plus - g_minus) / (2 * self.H),
+                                       rtol=0, atol=1e-6 * np.abs(hess).max())
+
+    @pytest.mark.parametrize("k, m", [(2, 3), (4, 2), (3, 4)])
+    def test_match_central_differences_in_y(self, k, m):
+        """The acceleration step's derivatives in y = arctan(x/R)."""
+        rng = np.random.default_rng(200 + 10 * k + m)
+        n = 5
+        ch = _se_channel(rng, n, k, m)
+        y = rng.uniform(-1.4, 1.4, n)
+        accel = elementwise._Accelerator(OptimizerConfig(objective=SPECTRAL_EFFICIENCY),
+                                         se_derivatives)
+        at = lambda y: accel._context(ch, y)
+        grad, hess = accel._derivatives(at(y))
+        h = self.H / 50.0           # dx = R (1 + tan^2 y) dy, at least 3e-3 ohm
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            fd = (spectral_efficiency(at(y + e).z_bar) - spectral_efficiency(at(y - e).z_bar)) / (2 * h)
+            assert abs(grad[i] - fd) <= 1e-6 * np.abs(grad).max()
+            g_plus, _ = accel._derivatives(at(y + e))
+            g_minus, _ = accel._derivatives(at(y - e))
+            np.testing.assert_allclose(hess[:, i], (g_plus - g_minus) / (2 * h),
+                                       rtol=0, atol=1e-6 * np.abs(hess).max())
+
+
+class TestSeSkipTest:
+    def test_closed_form_gain_is_the_objective_change(self):
+        """optimal_theta_se keeps the element (theta = -1) exactly when its
+        closed-form gain is at most min_gain, and that gain is the spectral
+        efficiency change the update makes."""
+        rng = np.random.default_rng(51)
+        for _ in range(20):
+            k, m = (int(v) for v in rng.integers(1, 5, size=2))
+            n = int(rng.integers(2, 7))
+            ch = _se_channel(rng, n, k, m, spacing=0.4)
+            x = rng.uniform(-60, 60, n)
+            ctx = init_context(ch, RisState(x))
+            e = int(rng.integers(n))
+            a_mat, f = gram_factors(element_params(ctx, e))
+            theta = optimal_theta_se(a_mat, f)
+            dx, saturated = theta_to_delta_x(theta, element_params(ctx, e).g)
+            assert not saturated and dx != 0.0
+            moved = x.copy()
+            moved[e] += dx
+            gain = _se_at(ch, moved) - _se_at(ch, x)
+            assert gain > 1e-6
+            assert optimal_theta_se(a_mat, f, gain * (1 - 1e-9)) == theta
+            assert optimal_theta_se(a_mat, f, gain * (1 + 1e-9)) == -1.0
+
+    def test_skipped_update_changes_nothing(self):
+        rng = np.random.default_rng(52)
+        ch = _se_channel(rng, 5, 3, 2)
+        x = rng.uniform(-60, 60, 5)
+        ctx = init_context(ch, RisState(x))
+        p = element_params(ctx, 2)
+        theta = optimal_theta_se(*gram_factors(p), math.inf)
+        assert theta == -1.0
+        dx, _ = theta_to_delta_x(theta, p.g)
+        z_bar = ctx.z_bar.copy()
+        apply_update(ctx, 2, dx)
+        assert np.array_equal(ctx.x, x) and np.array_equal(ctx.z_bar, z_bar)
+
+    @pytest.mark.parametrize("runner", [optimize, naive_elementwise])
+    def test_run_of_skipped_updates_records_the_start(self, monkeypatch, runner):
+        monkeypatch.setattr(elementwise, "SKIP_ROUNDOFF", math.inf)
+        rng = np.random.default_rng(53)
+        ch = _se_channel(rng, 4, 2, 3)
+        res = runner(ch, RisState.zeros(4), OptimizerConfig(objective=SPECTRAL_EFFICIENCY))
+        assert res.converged and res.sweeps == 1
+        assert np.array_equal(res.state.x, np.zeros(4))
+        assert np.array_equal(res.trace, np.full(5, res.trace[0]))
+
+
+class TestSeAcceleration:
+    """A small ill-conditioned MIMO channel (cond(Z_R + jX) about 5e4 at the
+    end), on which coordinate ascent alone is still climbing at 500 sweeps."""
+
+    @staticmethod
+    def channel():
+        rng = np.random.default_rng(26)
+        k, m = (int(v) for v in rng.integers(2, 5, size=2))
+        n = int(rng.integers(3, 7))
+        spacing = float(rng.uniform(0.15, 0.35))
+        z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return ImpedanceChannel(z(k, m), 4.0 * z(k, n), 4.0 * z(n, m),
+                                build_coupling_matrix(n, spacing, 50.0), 50.0)
+
+    def test_step_engages_and_converges(self):
+        ch = self.channel()
+        cfg = OptimizerConfig(objective=SPECTRAL_EFFICIENCY)
+        res = optimize(ch, RisState.zeros(ch.n), cfg)
+        kept = res.trace.size - 1 - ch.n * res.sweeps
+        assert kept > 0
+        assert res.converged and res.sweeps < cfg.max_sweeps
+        assert np.all(np.diff(res.trace) >= -1e-12 * np.abs(res.trace[:-1]))
+        assert res.trace[-1] == pytest.approx(_se_at(ch, res.state.x), rel=1e-9)
+
+    def test_coordinate_ascent_alone_is_capped(self, monkeypatch):
+        monkeypatch.setattr(elementwise, "ACCEL_WINDOW", 10**9)
+        ch = self.channel()
+        res = optimize(ch, RisState.zeros(ch.n), OptimizerConfig(objective=SPECTRAL_EFFICIENCY))
+        assert not res.converged
 
 
 class TestTrustRegionStep:
