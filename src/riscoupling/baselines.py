@@ -20,9 +20,8 @@ from .channel import (
 from .elementwise import (
     OptimizeResult,
     OptimizerConfig,
-    RankOneContext,
     coordinate_ascent,
-    refactor,
+    reinvert_update,
 )
 from .decoupling import effective_channel
 from .errors import InvalidArgumentError
@@ -37,14 +36,6 @@ class MethodId(str, enum.Enum):
     GRID_ORACLE = "GridOracle"
 
 
-def _reinvert_update(ctx: RankOneContext, n: int, dx: float) -> None:
-    """x_n += dx followed by a dense re-inversion of the loading matrix. O(N^3)."""
-    if dx == 0.0:
-        return
-    ctx.x[n] += dx
-    refactor(ctx)
-
-
 def naive_elementwise(ch: ImpedanceChannel, x0: RisState,
                       cfg: OptimizerConfig | None = None) -> OptimizeResult:
     """Element-wise optimizer that re-inverts the loading matrix at every update.
@@ -55,7 +46,7 @@ def naive_elementwise(ch: ImpedanceChannel, x0: RisState,
     acceleration step can amplify on badly conditioned runs); it is the
     trajectory oracle for the rank-one bookkeeping, under either objective.
     """
-    return coordinate_ascent(ch, x0, cfg or OptimizerConfig(), _reinvert_update)
+    return coordinate_ascent(ch, x0, cfg or OptimizerConfig(), reinvert_update)
 
 
 def grid_search_phase(ch: ImpedanceChannel) -> float:

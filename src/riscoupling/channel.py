@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +145,15 @@ class ImpedanceChannel:
             )
         if not 0.0 < self.R < np.inf:
             raise InvalidArgumentError("reference resistance must be positive and finite")
-        blocks = (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs))
+        blocks = (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs), ("z_r", z_r))
         for name, block in blocks:
             if not np.all(np.isfinite(block)):
                 raise InvalidArgumentError(f"{name} must be finite")
-        if _VALIDATED_Z_R.get(id(z_r)) is not z_r or z_r.flags.writeable:
-            _check_z_r(z_r)
-        for name, block in blocks + (("z_r", z_r),):
+        if not np.array_equal(z_r, z_r.T):
+            scale = max(np.abs(z_r).max(), 1.0)
+            if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
+                raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
+        for name, block in blocks:
             object.__setattr__(self, name, block)
 
     @property
@@ -166,21 +167,6 @@ class ImpedanceChannel:
     @property
     def m(self) -> int:
         return self.z_ds.shape[1]
-
-
-def _check_z_r(z_r: np.ndarray) -> None:
-    """Refuse an array impedance matrix that is not finite and complex symmetric."""
-    if not np.all(np.isfinite(z_r)):
-        raise InvalidArgumentError("z_r must be finite")
-    if not np.array_equal(z_r, z_r.T):
-        scale = max(np.abs(z_r).max(), 1.0)
-        if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
-            raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
-
-
-# The read-only Z_R of every live ArrayFactors, by id: each passed _check_z_r
-# once, so a channel given that exact object skips the O(N^2) checks.
-_VALIDATED_Z_R: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def build_coupling_matrix(n: int, spacing: float, R: float) -> np.ndarray:
@@ -255,7 +241,7 @@ def _norm1(a: np.ndarray) -> float:
 # which is refused below, so the warning is not wanted.  As a decorator
 # np.errstate costs half what it costs as a with-block.
 @np.errstate(all="ignore")
-def inverse_and_condition(z_load: np.ndarray) -> tuple[np.ndarray, float]:
+def checked_inverse(z_load: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse of a complex loading matrix and its condition number, refused
     above CONDITION_LIMIT.
 
@@ -275,11 +261,6 @@ def inverse_and_condition(z_load: np.ndarray) -> tuple[np.ndarray, float]:
     return z_inv, float(cond)
 
 
-def checked_inverse(z_load: np.ndarray) -> np.ndarray:
-    """The inverse of inverse_and_condition, without its condition number."""
-    return inverse_and_condition(z_load)[0]
-
-
 @np.errstate(all="ignore")
 def eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(s) of a real symmetric 2-D array: ascending eigenvalues
@@ -297,7 +278,7 @@ def eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     """End-to-end impedance channel Z = Z_DS - Z_DR (Z_R + j diag(x))^{-1} Z_RS."""
-    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch.z_r, state.x)) @ ch.z_rs
+    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch.z_r, state.x))[0] @ ch.z_rs
 
 
 class ArrayFactors:
@@ -316,9 +297,7 @@ class ArrayFactors:
         z_r = build_coupling_matrix(s.n, s.spacing, s.R)
         if s.gamma_loss > 0:
             z_r = z_r + s.gamma_loss * s.R * np.eye(s.n)
-        _check_z_r(z_r)
         self.z_r = _read_only(z_r)
-        _VALIDATED_Z_R[id(z_r)] = z_r
         self._inverse = self._re_inv_sqrt = None
 
     def check(self, z_r: np.ndarray) -> ArrayFactors:
@@ -332,7 +311,7 @@ class ArrayFactors:
     def inverse(self) -> np.ndarray:
         """checked_inverse(Z_R), the inverse of the loading matrix at x = 0."""
         if self._inverse is None:
-            self._inverse = _read_only(checked_inverse(self.z_r))
+            self._inverse = _read_only(checked_inverse(self.z_r)[0])
         return self._inverse
 
     def re_inv_sqrt(self) -> np.ndarray:

@@ -102,7 +102,7 @@ def transformed_load(net: DecouplingNetwork, state: RisState) -> np.ndarray:
     wrong length, and a singular or ill-conditioned load (as at x_n = 0 when
     z11 = 0).
     """
-    return net.z22 - net.z12.T @ checked_inverse(loading_matrix(net.z11, state.x)) @ net.z12
+    return net.z22 - net.z12.T @ checked_inverse(loading_matrix(net.z11, state.x))[0] @ net.z12
 
 
 def reactance_transform(x: np.ndarray, R: float) -> np.ndarray:

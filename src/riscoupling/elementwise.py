@@ -17,7 +17,9 @@ An element update is skipped (theta = -1, the load kept) when its gain is
 below what the double-precision objective resolves.  The SISO update skips
 phases within PI_DEAD_ZONE of pi.  The spectral-efficiency update skips a
 closed-form gain of at most SKIP_ROUNDOFF * eps * cond * |objective|, where
-cond is the condition number of the context's last dense inverse.
+cond is the condition number of the context's last dense inverse, and is made
+only if the objective it leaves does not fall.  Above RANK_ONE_COND it
+re-inverts the loading matrix instead of taking the rank-one update.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .channel import (
     X_MAX,
     ImpedanceChannel,
     RisState,
+    checked_inverse,
     eigh,
     identity,
-    inverse_and_condition,
     loading_matrix,
     solve_small,
     spectral_efficiency,
@@ -67,9 +69,19 @@ ACCEL_STIFF = 1e-2
 # and the trace can record it as a dip.  The rank-one objective's change
 # differed from the closed-form gain by up to about 100 eps cond |objective|
 # on random MIMO channels below cond 3e5; above that the error grows faster
-# than cond.
+# than cond.  An update that would still lower the objective the trace records
+# is not made either.
 SKIP_ROUNDOFF = 100.0
 EPS = sys.float_info.epsilon
+
+# Above this condition number the spectral-efficiency update re-inverts the
+# loading matrix, as naive_elementwise does, instead of taking the rank-one
+# update.  Between two refactors the rank-one objective drifted from the dense
+# one by at most 3e-12 relative below cond 1e4, and by up to 1.4e-11, 1.1e-10,
+# 1.2e-9 and 1.6e-8 in the bands up to 3e4, 1e5, 3e5 and 1e6, on 240 random
+# MIMO channels (K, M = 2-4, N = 4-16); a refactor then lowers the objective
+# the trace has recorded.
+RANK_ONE_COND = 1e4
 
 # The trust-region shift: Newton steps on the secular equation that place the
 # bisection's certified bracket, and the bracket's half-width relative to its
@@ -161,7 +173,7 @@ class ElementParams(NamedTuple):
 
 def init_context(ch: ImpedanceChannel, state: RisState) -> RankOneContext:
     """Dense-inverse initialization of the update cache."""
-    z_inv, cond = inverse_and_condition(loading_matrix(ch.z_r, state.x))
+    z_inv, cond = checked_inverse(loading_matrix(ch.z_r, state.x))
     return RankOneContext(ch, z_inv, state.x.copy(), cond)
 
 
@@ -258,10 +270,18 @@ def theta_to_delta_x(theta: complex, g: complex) -> tuple[float, bool]:
     return dx, False
 
 
-def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
-    """Rank-one update of the context after x_n += dx. O(N (k + K + M)) plus a block product."""
+Keep = Callable[[np.ndarray], bool]
+
+
+def apply_update(ctx: RankOneContext, n: int, dx: float, keep: Keep | None = None) -> bool:
+    """Rank-one update of the context after x_n += dx. O(N (k + K + M)) plus a block product.
+
+    With keep given, the update is made only if keep holds for the channel it
+    would leave (a complex number on a scalar context).  Returns whether the
+    update was made.
+    """
     if dx == 0.0:
-        return
+        return False
     col = ctx.column(n)
     denom = 1.0 + 1j * dx * col.item(n)
     if abs(denom) < 1e-14:
@@ -269,28 +289,56 @@ def apply_update(ctx: RankOneContext, n: int, dx: float) -> None:
             f"rank-one denominator |1 + j dx g| = {abs(denom):.3e} for element {n}"
         )
     factor = 1j * dx / denom
-    k = ctx.k
-    ctx.q[k] = col
-    fc = np.multiply(col, factor, out=ctx.p[k])     # G -= fc col^T; u, v and z_bar follow
     if ctx.scalar:
         a, b_prime_h = ctx.u.item(n), ctx.v.item(n)
-        ctx.z_bar[0, 0] = ctx.z_bar.item() + factor * (a * b_prime_h)
+        z_bar = ctx.z_bar.item() + factor * (a * b_prime_h)
+    else:
+        a, b_prime_h = ctx.u[:, n, None], ctx.v[n]      # each product is taken before its update
+        z_bar = ctx.z_bar + factor * (a * b_prime_h)
+    if keep is not None and not keep(z_bar):
+        return False
+    k = ctx.k
+    ctx.q[k] = col
+    fc = np.multiply(col, factor, out=ctx.p[k])     # G -= fc col^T; u and v follow
+    if ctx.scalar:
+        ctx.z_bar[0, 0] = z_bar
         ctx.u[0] -= a * fc
         ctx.v[:, 0] -= b_prime_h * fc
     else:
-        a, b_prime_h = ctx.u[:, n, None], ctx.v[n]      # each product is taken before its update
-        ctx.z_bar += factor * (a * b_prime_h)
+        ctx.z_bar = z_bar
         ctx.u -= a * fc
         ctx.v -= fc[:, None] * b_prime_h
     ctx.k = k + 1
     ctx.x[n] += dx
     if ctx.k == BLOCK:
         ctx.flush()
+    return True
+
+
+def reinvert_update(ctx: RankOneContext, n: int, dx: float, keep: Keep | None = None) -> bool:
+    """x_n += dx followed by a dense re-inversion of the loading matrix. O(N^3).
+
+    keep and the return value are those of apply_update.  ctx.cond is left
+    as it was, so the condition number that the spectral-efficiency update
+    reads comes from the same dense inverses as under apply_update: the
+    start, each refactor and each acceleration step.
+    """
+    if dx == 0.0:
+        return False
+    x = ctx.x.copy()
+    x[n] += dx
+    z_inv = checked_inverse(loading_matrix(ctx.ch.z_r, x))[0]
+    # the z_bar that setting ctx.z_inv computes, bit for bit
+    if keep is not None and not keep(ctx.ch.z_ds - ctx.ch.z_dr @ z_inv @ ctx.ch.z_rs):
+        return False
+    ctx.x = x
+    ctx.z_inv = z_inv
+    return True
 
 
 def refactor(ctx: RankOneContext) -> None:
     """Dense re-inversion to contain rank-one roundoff drift."""
-    ctx.z_inv, ctx.cond = inverse_and_condition(loading_matrix(ctx.ch.z_r, ctx.x))
+    ctx.z_inv, ctx.cond = checked_inverse(loading_matrix(ctx.ch.z_r, ctx.x))
 
 
 @dataclass
@@ -515,46 +563,70 @@ class _Accelerator:
         return new, trial
 
 
-Update = Callable[[RankOneContext, int, float], None]
-Step = Callable[[ElementParams, float], complex]
+Update = Callable[[RankOneContext, int, float, Keep | None], bool]
+Element = Callable[[OptimizerConfig, RankOneContext, int, float, Update], tuple[float, bool]]
 
 
-def _siso_step(p: ElementParams, min_gain: float) -> complex:
-    """The SISO element step; its skip rule is PI_DEAD_ZONE, so min_gain is unused."""
-    return optimal_theta_siso(p.z0, p.a, p.b)
+def _siso_element(cfg: OptimizerConfig, ctx: RankOneContext, n: int, obj: float,
+                  update: Update) -> tuple[float, bool]:
+    """Update element n for the SISO gain; returns the objective after it and
+    whether the step saturated.  Its skip rule is PI_DEAD_ZONE."""
+    p = element_params(ctx, n)
+    dx, saturated = theta_to_delta_x(optimal_theta_siso(p.z0, p.a, p.b), p.g)
+    update(ctx, n, dx)
+    return _objective(cfg, ctx.z_bar), saturated
 
 
-def _se_step(p: ElementParams, min_gain: float) -> complex:
-    """The spectral-efficiency element step, theta = -1 unless it gains more than min_gain."""
-    return optimal_theta_se(*gram_factors(p), min_gain)
+def _se_element(cfg: OptimizerConfig, ctx: RankOneContext, n: int, obj: float,
+                update: Update) -> tuple[float, bool]:
+    """Update element n for the spectral efficiency obj; returns the objective
+    after it and whether the step saturated.
+
+    theta = -1 unless the closed-form gain exceeds
+    SKIP_ROUNDOFF * eps * cond * |obj|, and the update is made only if the
+    objective it leaves is not below obj.  Above RANK_ONE_COND it re-inverts.
+    """
+    p = element_params(ctx, n)
+    theta = optimal_theta_se(*gram_factors(p), SKIP_ROUNDOFF * EPS * ctx.cond * abs(obj))
+    dx, saturated = theta_to_delta_x(theta, p.g)
+    new = obj
+
+    def keep(z: np.ndarray) -> bool:
+        nonlocal new
+        new = _objective(cfg, z)
+        return new >= obj
+
+    if ctx.cond > RANK_ONE_COND:
+        update = reinvert_update
+    return (new if update(ctx, n, dx, keep) else obj), saturated
 
 
-def _objective_pieces(cfg: OptimizerConfig, ch: ImpedanceChannel) -> tuple[Step, Derivatives]:
-    """The objective's element step and its derivatives in x; _objective gives its value.
+def _objective_pieces(cfg: OptimizerConfig, ch: ImpedanceChannel) -> tuple[Element, Derivatives]:
+    """The objective's element update and its derivatives in x; _objective gives its value.
 
     Looked up on each run, so a function rebound on this module is the one run.
     """
     if cfg.objective == SISO_GAIN:
         if ch.k != 1 or ch.m != 1:
             raise InvalidArgumentError("siso_gain objective requires K = M = 1")
-        return _siso_step, siso_derivatives
-    return _se_step, se_derivatives
+        return _siso_element, siso_derivatives
+    return _se_element, se_derivatives
 
 
 def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
                       update: Update) -> OptimizeResult:
     """The sweep loop shared by optimize and the dense-reinversion reference.
 
-    update(ctx, n, dx) applies x_n += dx to the cached inverse and channel: the
-    rank-one lemma (apply_update) or a fresh dense inversion.  Every element
-    takes the same step; one that should not move gets theta = -1 and so
-    dx = 0, which update treats as a no-op: an update skipped as roundoff
-    records the unchanged objective.  Everything else, including the
-    acceleration step, is common, so both backends follow the same trajectory
-    up to roundoff; on badly conditioned runs the acceleration step can
-    amplify that roundoff.
+    update(ctx, n, dx, keep) applies x_n += dx to the cached inverse and
+    channel: the rank-one lemma (apply_update) or a fresh dense inversion
+    (reinvert_update).  Every element takes the same step; one that should not
+    move gets theta = -1 and so dx = 0, which update treats as a no-op: an
+    update skipped as roundoff records the unchanged objective.  Everything
+    else, including the acceleration step, is common, so both backends follow
+    the same trajectory up to roundoff; on badly conditioned runs the
+    acceleration step can amplify that roundoff.
     """
-    step, derivatives = _objective_pieces(cfg, ch)
+    element, derivatives = _objective_pieces(cfg, ch)
     ctx = init_context(ch, x0)
     obj = _objective(cfg, ctx.z_bar)
     trace = [obj]
@@ -565,12 +637,8 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
     for sweep in range(cfg.max_sweeps):
         prev = obj
         for n in range(ch.n):
-            p = element_params(ctx, n)
-            theta = step(p, SKIP_ROUNDOFF * EPS * ctx.cond * abs(obj))
-            dx, saturated = theta_to_delta_x(theta, p.g)
+            obj, saturated = element(cfg, ctx, n, obj, update)
             saturations += int(saturated)
-            update(ctx, n, dx)
-            obj = _objective(cfg, ctx.z_bar)
             trace.append(obj)
         if (sweep + 1) % REFACTOR_EVERY == 0:
             refactor(ctx)
@@ -595,9 +663,11 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
 def optimize(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig | None = None) -> OptimizeResult:
     """Sweep elements 1..N with closed-form per-element updates until converged.
 
-    The per-element update is exact and an acceleration step is kept only if
-    it raises the objective by more than cfg.tol relative, so the trace is
-    non-decreasing.  Stops when the relative
-    improvement over a sweep, acceleration step included, drops below cfg.tol.
+    The per-element update is exact, a spectral-efficiency update is made only
+    if the objective it leaves does not fall, and an acceleration step is kept
+    only if it raises the objective by more than cfg.tol relative.  So the
+    trace is non-decreasing, up to the rank-one drift that a refactor
+    removes (see RANK_ONE_COND).  Stops when the relative improvement over a
+    sweep, acceleration step included, drops below cfg.tol.
     """
     return coordinate_ascent(ch, x0, cfg or OptimizerConfig(), apply_update)

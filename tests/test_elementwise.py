@@ -28,6 +28,7 @@ from riscoupling.elementwise import (
     optimal_theta_siso,
     optimize,
     refactor,
+    reinvert_update,
     se_derivatives,
     siso_derivatives,
     theta_to_delta_x,
@@ -601,6 +602,58 @@ class TestSeSkipTest:
         assert np.array_equal(res.trace, np.full(5, res.trace[0]))
 
 
+class TestSeUpdateGuard:
+    """An update is made only if keep holds for the channel it would leave,
+    and keep sees that channel bit for bit, under both backends."""
+
+    @staticmethod
+    def context(rng, k, m):
+        ch = _se_channel(rng, 5, k, m)
+        ctx = init_context(ch, RisState(rng.uniform(-60, 60, 5)))
+        apply_update(ctx, 1, 7.0)                   # leave one update pending
+        return ctx
+
+    @pytest.mark.parametrize("update", [apply_update, reinvert_update])
+    @pytest.mark.parametrize("km", [(1, 1), (3, 2)])
+    def test_refused_update_changes_nothing(self, update, km):
+        ctx = self.context(np.random.default_rng(54), *km)
+        x, z_bar, k, cond = ctx.x.copy(), ctx.z_bar.copy(), ctx.k, ctx.cond
+        assert update(ctx, 3, 12.0, lambda z: False) is False
+        assert np.array_equal(ctx.x, x) and np.array_equal(ctx.z_bar, z_bar)
+        assert ctx.k == k and ctx.cond == cond
+
+    @pytest.mark.parametrize("update", [apply_update, reinvert_update])
+    @pytest.mark.parametrize("km", [(1, 1), (3, 2)])
+    def test_keep_sees_the_channel_the_update_leaves(self, update, km):
+        free = self.context(np.random.default_rng(55), *km)
+        ctx = self.context(np.random.default_rng(55), *km)
+        seen = []
+        assert update(ctx, 3, 12.0, lambda z: seen.append(z) or True) is True
+        update(free, 3, 12.0)
+        assert np.array_equal(ctx.x, free.x) and np.array_equal(ctx.z_bar, free.z_bar)
+        assert spectral_efficiency(seen[0]) == spectral_efficiency(ctx.z_bar)
+
+    def test_reinversion_keeps_the_condition_number_of_the_last_refactor(self):
+        ctx = self.context(np.random.default_rng(56), 3, 2)
+        cond = ctx.cond
+        reinvert_update(ctx, 3, 12.0)
+        assert ctx.cond == cond
+        refactor(ctx)
+        assert ctx.cond != cond
+
+    @pytest.mark.parametrize("runner", [optimize, naive_elementwise])
+    def test_an_update_that_lowers_the_objective_is_not_made(self, monkeypatch, runner):
+        """With the objective read as its negative, every closed-form step
+        lowers what the trace records, so no element moves."""
+        objective = elementwise._objective
+        monkeypatch.setattr(elementwise, "_objective", lambda cfg, z: -objective(cfg, z))
+        ch = _se_channel(np.random.default_rng(57), 4, 2, 3)
+        res = runner(ch, RisState.zeros(4), OptimizerConfig(objective=SPECTRAL_EFFICIENCY))
+        assert res.converged and res.sweeps == 1
+        assert np.array_equal(res.state.x, np.zeros(4))
+        assert np.array_equal(res.trace, np.full(5, res.trace[0]))
+
+
 class TestSeAcceleration:
     """A small ill-conditioned MIMO channel (cond(Z_R + jX) about 5e4 at the
     end), on which coordinate ascent alone is still climbing at 500 sweeps."""
@@ -624,6 +677,26 @@ class TestSeAcceleration:
         assert res.converged and res.sweeps < cfg.max_sweeps
         assert np.all(np.diff(res.trace) >= -1e-12 * np.abs(res.trace[:-1]))
         assert res.trace[-1] == pytest.approx(_se_at(ch, res.state.x), rel=1e-9)
+
+    def test_both_backends_follow_the_same_trace(self):
+        """Skipped updates, re-inversion above RANK_ONE_COND and kept steps
+        alike: the rank-one run follows the dense-reinversion oracle."""
+        ch = self.channel()
+        cfg = OptimizerConfig(objective=SPECTRAL_EFFICIENCY)
+        fast = optimize(ch, RisState.zeros(ch.n), cfg)
+        naive = naive_elementwise(ch, RisState.zeros(ch.n), cfg)
+        assert np.sum(np.diff(fast.trace) == 0.0) > 0         # some updates were skipped
+        assert fast.trace.size == naive.trace.size and fast.sweeps == naive.sweeps
+        np.testing.assert_allclose(fast.trace, naive.trace, rtol=1e-9)
+
+    def test_above_rank_one_cond_optimize_reinverts(self, monkeypatch):
+        monkeypatch.setattr(elementwise, "RANK_ONE_COND", 0.0)
+        ch = self.channel()
+        cfg = OptimizerConfig(objective=SPECTRAL_EFFICIENCY, max_sweeps=60)
+        fast = optimize(ch, RisState.zeros(ch.n), cfg)
+        naive = naive_elementwise(ch, RisState.zeros(ch.n), cfg)
+        assert np.array_equal(fast.trace, naive.trace)
+        assert np.array_equal(fast.state.x, naive.state.x)
 
     def test_coordinate_ascent_alone_is_capped(self, monkeypatch):
         monkeypatch.setattr(elementwise, "ACCEL_WINDOW", 10**9)
