@@ -69,10 +69,8 @@ class Scenario:
     R: float = 50.0
 
     def __post_init__(self):
-        _check_n(self.n)
-        if not np.all(np.isfinite((self.spacing, self.alpha_tx, self.alpha_rx, self.gamma_dr,
-                                   self.gamma_rs, self.gamma_loss, self.R))):
-            raise InvalidArgumentError("spacing, angles, pathloss, loss and R must be finite")
+        _check_args(self.n, "spacing, angles, pathloss, loss and R", self.spacing, self.alpha_tx,
+                    self.alpha_rx, self.gamma_dr, self.gamma_rs, self.gamma_loss, self.R)
         if self.spacing <= 0:
             raise InvalidArgumentError("spacing must be positive")
         if self.gamma_loss < 0 or self.gamma_dr <= 0 or self.gamma_rs <= 0:
@@ -87,9 +85,12 @@ class Scenario:
         return (self.n, self.spacing, self.gamma_loss, self.R)
 
 
-def _check_n(n) -> None:
+def _check_args(n, names: str, *values) -> None:
+    """A line array's element count n is a positive integer and its values are finite."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
+    if not all(map(math.isfinite, values)):
+        raise InvalidArgumentError(f"{names} must be finite")
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def build_coupling_matrix(n: int, spacing: float, R: float) -> np.ndarray:
     the diagonal is the radiation resistance R.  The matrix is Toeplitz: its
     N lag values are evaluated once and indexed into place.
     """
-    _check_n(n)
+    _check_args(n, "spacing and R", spacing, R)
     if spacing <= 0 or R <= 0:
         raise InvalidArgumentError("spacing and R must be positive")
     idx = np.arange(n)
@@ -189,7 +190,7 @@ def build_coupling_matrix(n: int, spacing: float, R: float) -> np.ndarray:
 
 def steering_vector(n: int, spacing: float, alpha: float) -> np.ndarray:
     """LOS ULA steering vector a_n = exp(-j (n-1) 2 pi spacing cos(alpha))."""
-    _check_n(n)
+    _check_args(n, "spacing and alpha", spacing, alpha)
     return np.exp(-1j * np.arange(n) * 2.0 * np.pi * spacing * np.cos(alpha))
 
 

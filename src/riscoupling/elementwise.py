@@ -83,11 +83,9 @@ EPS = sys.float_info.epsilon
 # the trace has recorded.
 RANK_ONE_COND = 1e4
 
-# The trust-region shift: Newton steps on the secular equation that place the
-# bisection's certified bracket, and the bracket's half-width relative to its
-# centre (see trust_region_step).
+# Cap on the Newton steps that find the trust-region shift (trust_region_step).
+# They reach the root within 7 steps on random Hessians, so the cap does not bind.
 SHIFT_NEWTON_STEPS = 20
-SHIFT_BRACKET = 4e-15
 
 # Sweeps between dense re-inversions that contain the rank-one roundoff drift.
 REFACTOR_EVERY = 10
@@ -413,66 +411,35 @@ def se_derivatives(ctx: RankOneContext) -> tuple[np.ndarray, np.ndarray]:
 def trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
     """Maximizer of grad.s + s.hess.s/2 over |s| <= radius.
 
-    The Newton step when hess is negative definite and the step fits; otherwise
-    the boundary solution s = (mu I - hess)^{-1} grad, with the shift mu found
-    by bisection in the eigenbasis of hess (eigenvalues w, gt = v^T grad).
-
-    The bisection takes the midpoints of plain bisection on (lo, hi), with its
-    100-step cap, but evaluates |s(mu)| only at those inside a certified
-    bracket (a, b), so the result is plain bisection's bit for bit:
-    - Computed as sqrt(t.t) with t = gt / (mu - w), |s(mu)| does not increase
-      with mu, because each rounded step is monotone: the subtraction, the
-      division and the accumulation of non-negative squares.  So "too long",
-      |s(mu)| > radius, is True below one threshold float and False from it on.
-    - Newton steps on the secular equation 1/|s(mu)| = 1/radius (More &
-      Sorensen, SIAM J. Sci. Stat. Comput. 1983) from
-      mu0 = max(lo, max_i(w_i + |gt_i|/radius)), where |s| >= radius, climb to
-      the root from its left, because 1/|s(mu)| is concave there.
-    - Around the last iterate, a is certified if |s(a)| is too long and b if
-      |s(b)| is not.  Every midpoint <= a is then too long and every midpoint
-      >= b is not, which a comparison decides.  A side whose certificate fails
-      stays at lo or hi, where no midpoint falls.
+    In the eigenbasis of hess (eigenvalues w, gt = v^T grad) the step is
+    s(mu) = gt / (mu - w) for the least shift mu >= max(w_max, 0) with
+    |s(mu)| <= radius.  mu = 0 gives the Newton step, when hess is negative
+    definite and that step fits; otherwise mu solves the secular equation
+    1/|s(mu)| = 1/radius (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983).
+    Newton steps on it start from mu0 = max(w_max, 0, max_i(w_i + |gt_i|/radius)),
+    which is not right of the least shift, and climb to the root from its
+    left, because 1/|s(mu)| is concave there.  Each step moves mu up by at
+    least one float, so an iterate one float short of the root does not stop
+    there.  The stop test compares |s| itself with radius: |s|^2 against
+    radius^2 can miss a root near mu = 0 by its rounding and crawl one float
+    per step.  When gt = 0 along the top eigenvector (the hard case) mu0 can
+    be w_max itself, where s is undefined, and the search starts one float
+    above it.
     """
     w, v = eigh(hess)
     gt = v.T @ grad
-    if w[-1] < 0.0:
-        s = -gt / w
-        if math.sqrt(s.dot(s)) <= radius:
-            return v @ s
-
-    def too_long(mu: float) -> bool:
-        t = gt / (mu - w)
-        return math.sqrt(t.dot(t)) > radius
-
-    lo = max(float(w[-1]), 0.0)
-    hi = lo + math.sqrt(gt.dot(gt)) / radius + float(np.abs(w).max())   # |s(hi)| <= radius
-    a, b = lo, hi
-    mu = max(lo, float((w + np.abs(gt) / radius).max()))
-    if mu > w[-1]:          # mu = w[-1] only when gt[-1] = 0, the hard case: |s(mu)| undefined
-        for _ in range(SHIFT_NEWTON_STEPS):
-            d = mu - w
-            s = gt / d
-            ss = float(s.dot(s))
-            if math.sqrt(ss) <= radius:
-                break
-            step = (math.sqrt(ss) / radius - 1.0) * ss / float(s.dot(s / d))
-            mu += step
-            if step <= 1e-16 * mu:
-                break
-        half = SHIFT_BRACKET * mu
-        if lo < mu - half < hi and too_long(mu - half):
-            a = mu - half
-        if lo < mu + half < hi and not too_long(mu + half):
-            b = mu + half
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    mu = max(float(w[-1]), 0.0, float((w + np.abs(gt) / radius).max()))
+    if mu == w[-1]:
+        mu = math.nextafter(mu, math.inf)
+    for _ in range(SHIFT_NEWTON_STEPS):
+        d = mu - w
+        s = gt / d
+        ss = float(s.dot(s))
+        if math.sqrt(ss) <= radius:
             break
-        if mid <= a or (mid < b and too_long(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return v @ (gt / (hi - w))
+        mu = max(mu + (math.sqrt(ss) / radius - 1.0) * ss / float(s.dot(s / d)),
+                 math.nextafter(mu, math.inf))
+    return v @ (gt / (mu - w))
 
 
 Derivatives = Callable[[RankOneContext], tuple[np.ndarray, np.ndarray]]

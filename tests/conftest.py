@@ -21,6 +21,17 @@ SLOW_RIDGE = Scenario(n=5, spacing=0.16340238753657976, alpha_tx=0.3288973559887
                       gamma_rs=0.8436008778516497)
 
 
+def end_fire(n, spacing, gamma_loss=0.0):
+    """A line scenario with both links along the array axis, from opposite ends."""
+    return Scenario(n=n, spacing=spacing, alpha_tx=0.0, alpha_rx=np.pi, gamma_loss=gamma_loss)
+
+
+def front_fire(n, spacing, gamma_loss=0.0):
+    """A line scenario with both links broadside to the array."""
+    return Scenario(n=n, spacing=spacing, alpha_tx=np.pi / 2, alpha_rx=np.pi / 2,
+                    gamma_loss=gamma_loss)
+
+
 def random_channel(rng, n, k=1, m=1, spacing=0.3):
     """A K x M link with Gaussian blocks over an N-element ULA's coupling matrix."""
     z_r = build_coupling_matrix(n, spacing, 50.0)

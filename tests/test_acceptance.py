@@ -30,6 +30,8 @@ from riscoupling import (
 from riscoupling.decoupling import array_gain
 from riscoupling.elementwise import element_params, gram_factors, init_context, optimal_theta_se
 
+from conftest import end_fire, front_fire
+
 # Frozen 60-digit mpmath evaluations of the normalized end-fire array-gain
 # formula for N = 4 (pre-build oracle).
 END_FIRE_N4_FROZEN = {
@@ -53,15 +55,6 @@ class Criterion:
         assert passed, f"criterion {self.number} ({self.name}) failed"
         assert elapsed < self.limit_s, (
             f"criterion {self.number} exceeded its {self.limit_s}s runtime budget ({elapsed:.2f}s)")
-
-
-def end_fire(n, spacing, gamma_loss=0.0):
-    return Scenario(n=n, spacing=spacing, alpha_tx=0.0, alpha_rx=np.pi,
-                    gamma_loss=gamma_loss)
-
-
-def front_fire(n, spacing):
-    return Scenario(n=n, spacing=spacing, alpha_tx=np.pi / 2, alpha_rx=np.pi / 2)
 
 
 def random_scenario(rng, n_max, spacing_range):

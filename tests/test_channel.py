@@ -92,6 +92,18 @@ class TestCouplingMatrix:
         assert build_coupling_matrix(np.int64(3), 0.5, 50.0).shape == (3, 3)
         assert steering_vector(np.int32(3), 0.5, 0.0).shape == (3,)
 
+    @pytest.mark.parametrize("build", [
+        lambda v: build_coupling_matrix(3, v, 50.0),
+        lambda v: build_coupling_matrix(3, 0.25, v),
+        lambda v: steering_vector(3, v, 0.1),
+        lambda v: steering_vector(3, 0.25, v),
+    ], ids=["coupling_spacing", "coupling_R", "steering_spacing", "steering_alpha"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arguments_refused(self, build, value):
+        # NaN would give a non-finite result, and inf a RuntimeWarning as well
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            build(value)
+
     @staticmethod
     def dense(n, spacing, R):
         """The matrix as first written: the formula evaluated at all N^2 entries."""

@@ -30,6 +30,8 @@ from riscoupling.decoupling import (
 )
 from riscoupling.errors import InvalidArgumentError, NumericallySingularError
 
+from conftest import end_fire, front_fire
+
 # Independent high-precision (60-digit) evaluations of the normalized
 # end-fire array gain formula, computed once with mpmath and frozen.
 END_FIRE_N4_ORACLE = {
@@ -53,12 +55,6 @@ ILL_CONDITIONED_ORACLE = {
     (16, 0.1): (101.06009846420991, 61279.78619231015),
     (16, 0.25): (122.53327818182446, 40505.05109407397),
 }
-
-
-def front_and_end_fire(n, spacing, gamma_loss=0.0):
-    return (Scenario(n=n, spacing=spacing, alpha_tx=np.pi / 2, alpha_rx=np.pi / 2,
-                     gamma_loss=gamma_loss),
-            Scenario(n=n, spacing=spacing, alpha_tx=0.0, alpha_rx=np.pi, gamma_loss=gamma_loss))
 
 
 def squared_quadratic_form(s, a):
@@ -312,7 +308,7 @@ class TestSpecializedGains:
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_half_wavelength(self, n):
-        front, end = front_and_end_fire(n, 0.5)
+        front, end = front_fire(n, 0.5), end_fire(n, 0.5)
         assert squared_quadratic_form(front, np.ones(n)) == pytest.approx(n**2, rel=1e-10)
         assert squared_quadratic_form(end, steering_vector(n, 0.5, 0.0)) == pytest.approx(
             n**2, rel=1e-10)
@@ -321,7 +317,7 @@ class TestSpecializedGains:
         (n, d) for n in (2, 4, 9, 16) for d in (0.05, 0.1, 0.25, 0.5, 1.0)
         if (n, d) not in ILL_CONDITIONED_ORACLE])
     def test_consistent_with_general_formula(self, n, spacing):
-        front, end = front_and_end_fire(n, spacing)
+        front, end = front_fire(n, spacing), end_fire(n, spacing)
         assert array_gain(front) == pytest.approx(
             squared_quadratic_form(front, np.ones(n)), rel=1e-9)
         assert array_gain(end) == pytest.approx(
@@ -332,25 +328,25 @@ class TestSpecializedGains:
                        "and eigh loses digits past cond(C) = 1e10")
     @pytest.mark.parametrize("n,spacing", sorted(ILL_CONDITIONED_ORACLE))
     def test_ill_conditioned_exact(self, n, spacing):
-        front, end = front_and_end_fire(n, spacing)
+        front, end = front_fire(n, spacing), end_fire(n, spacing)
         assert (array_gain(front), array_gain(end)) == pytest.approx(
             ILL_CONDITIONED_ORACLE[n, spacing], rel=1e-9)
 
     def test_end_fire_pair_approaches_sixteen(self):
         # frozen 60-digit evaluation at d = 0.01, below MIN_SPACING
-        _, end = front_and_end_fire(2, 0.01)
+        end = end_fire(2, 0.01)
         gain = closed_form_siso(build_los_scenario(end)).gain / single_element_gain(end)
         assert gain == pytest.approx(15.991579362616902, rel=1e-6)
 
 
 class TestLossyCoupling:
     def test_gamma_zero_unchanged(self):
-        _, end = front_and_end_fire(4, 0.2, gamma_loss=0.0)
+        end = end_fire(4, 0.2, gamma_loss=0.0)
         assert np.array_equal(build_los_scenario(end).z_r, build_coupling_matrix(4, 0.2, end.R))
 
     def test_identity_halves_amplitude(self):
         # C = I, gamma = 1: end-fire gain drops from N^2 to N^2/4
-        _, end = front_and_end_fire(4, 0.5, gamma_loss=1.0)
+        end = end_fire(4, 0.5, gamma_loss=1.0)
         assert array_gain(end) == pytest.approx(4.0, rel=1e-10)
 
     @pytest.mark.parametrize("gamma,expected", sorted(LOSSY_END_FIRE_N4_D01_ORACLE.items()))

@@ -19,6 +19,7 @@ from riscoupling.baselines import naive_elementwise
 from riscoupling.decoupling import closed_form_siso
 from riscoupling.elementwise import (
     BLOCK,
+    EPS,
     SPECTRAL_EFFICIENCY,
     apply_update,
     element_params,
@@ -727,9 +728,11 @@ class TestTrustRegionStep:
 
 
 class TestAccelerationStepBitForBit:
-    """The acceleration step's derivatives and trust-region step against their
-    first written form (np.outer, np.real, plain bisection for the shift): a
-    rewrite for speed must not move a single bit of the SISO trajectory."""
+    """The acceleration step's derivatives against their first written form
+    (np.outer, np.real), bit for bit: a rewrite for speed must not move the SISO
+    trajectory.  The trust-region step's Newton search for the shift is checked
+    against plain bisection run to adjacent floats: the step to 1e-14, its
+    length against the radius to a few ulp, and its model value."""
 
     @staticmethod
     def derivatives(ctx):
@@ -744,36 +747,79 @@ class TestAccelerationStepBitForBit:
 
     @staticmethod
     def bisection(grad, hess, radius):
-        """trust_region_step with every midpoint evaluated; also the steps taken."""
+        """The trust-region step with the shift found by bisection, run until
+        the bracket holds adjacent floats."""
         w, v = np.linalg.eigh(hess)
         gt = v.T @ grad
         if w[-1] < 0.0:
             s = -gt / w
             if math.sqrt(s.dot(s)) <= radius:
-                return v @ s, 0
+                return v @ s
         lo = max(w[-1], 0.0)
         hi = lo + math.sqrt(gt.dot(gt)) / radius + np.abs(w).max()
-        steps = 0
-        for _ in range(100):
+        while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            steps += 1
             t = gt / (mid - w)
             if math.sqrt(t.dot(t)) > radius:
                 lo = mid
             else:
                 hi = mid
-        return v @ (gt / (hi - w)), steps
+        return v @ (gt / (hi - w))
 
     def assert_step_matches(self, grad, hess, radius):
-        want, steps = self.bisection(grad, hess, radius)
-        assert trust_region_step(grad, hess, radius).tobytes() == want.tobytes()
-        return steps
+        s = trust_region_step(grad, hess, radius)
+        want = self.bisection(grad, hess, radius)
+        assert np.linalg.norm(s - want) <= 1e-14 * np.linalg.norm(want)
+        assert math.sqrt(s.dot(s)) <= radius * (1.0 + 4.0 * EPS)
+        model = lambda t: grad @ t + 0.5 * t @ hess @ t
+        assert model(s) >= model(want) - 1e-12 * abs(model(want))
 
     @staticmethod
     def radius(rng):
         return float(10.0 ** rng.uniform(-6, 3))
+
+    @classmethod
+    def indefinite(cls, rng):
+        n = int(rng.integers(1, 17))
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3), a + a.T, cls.radius(rng)
+
+    @staticmethod
+    def newton_step_just_outside(rng):
+        n = int(rng.integers(1, 17))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        hess = -(q * 10.0 ** rng.uniform(-2, 2, n)) @ q.T
+        grad = rng.standard_normal(n)
+        w, v = np.linalg.eigh(hess)
+        newton = -(v.T @ grad) / w
+        return grad, hess, float(np.sqrt(newton.dot(newton))) * (1.0 - rng.integers(1, 8) * 2.0**-52)
+
+    @classmethod
+    def hard_case(cls, rng):
+        # gt = 0 along the largest eigenvalue: a diagonal Hessian keeps it exactly 0
+        n = int(rng.integers(1, 17))
+        w = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+        grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 2)
+        grad[np.argmax(w)] = 0.0
+        if rng.uniform() < 0.1:
+            grad[:] = 0.0
+        return grad, np.diag(w), cls.radius(rng)
+
+    @classmethod
+    def single_element(cls, rng):
+        return rng.standard_normal(1), rng.standard_normal((1, 1)) * 10.0, cls.radius(rng)
+
+    @staticmethod
+    def near_pole(rng):
+        # the shift's root lies 1e-7 to 1e-4 above a largest eigenvalue of
+        # 1e2 to 1e4, where |s| changes by up to 1e-4 relative per float of mu;
+        # w_max + delta, the root, is in general not a float
+        n = int(rng.integers(2, 17))
+        w = np.sort(rng.standard_normal(n) * 10.0 ** rng.uniform(2, 4))
+        w[-1] = abs(w[-1]) + 10.0 ** rng.uniform(2, 4)
+        grad = rng.standard_normal(n)
+        d = w[-1] - w + 10.0 ** rng.uniform(-7, -4)
+        return grad, np.diag(w), float(np.sqrt((grad / d).dot(grad / d)))
 
     def test_derivatives(self):
         rng = np.random.default_rng(31)
@@ -791,58 +837,53 @@ class TestAccelerationStepBitForBit:
     def test_indefinite(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
-            n = int(rng.integers(1, 17))
-            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
-            self.assert_step_matches(rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3),
-                                     a + a.T, self.radius(rng))
+            self.assert_step_matches(*self.indefinite(rng))
 
     def test_negative_definite_newton_step_just_outside(self):
-        # the shift's root sits so far below hi that bisection stops at its
-        # 100-step cap rather than at adjacent floats
         rng = np.random.default_rng(33)
-        capped = 0
         for _ in range(60):
+            self.assert_step_matches(*self.newton_step_just_outside(rng))
+
+    def test_hard_case(self):
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            self.assert_step_matches(*self.hard_case(rng))
+
+    def test_single_element(self):
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            self.assert_step_matches(*self.single_element(rng))
+
+    def test_near_pole(self):
+        """Each Newton step moves the shift up by at least one float: a step
+        that rounds to nothing would stop one float short of the root, where
+        |s| is longer than the radius by up to 1e-5 relative."""
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            self.assert_step_matches(*self.near_pole(rng))
+
+    def test_interior_newton_step(self):
+        rng = np.random.default_rng(38)
+        for _ in range(50):
             n = int(rng.integers(1, 17))
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             hess = -(q * 10.0 ** rng.uniform(-2, 2, n)) @ q.T
             grad = rng.standard_normal(n)
             w, v = np.linalg.eigh(hess)
-            newton = -(v.T @ grad) / w
-            radius = float(np.sqrt(newton.dot(newton))) * (1.0 - rng.integers(1, 8) * 2.0**-52)
-            capped += self.assert_step_matches(grad, hess, radius) == 100
-        assert capped >= 30
+            newton = v @ (-(v.T @ grad) / w)
+            radius = np.linalg.norm(newton) * float(rng.uniform(1.0, 3.0))
+            assert trust_region_step(grad, hess, radius).tobytes() == newton.tobytes()
 
-    def test_hard_case(self):
-        # gt = 0 along the largest eigenvalue: a diagonal Hessian keeps it exactly 0
-        rng = np.random.default_rng(34)
-        for _ in range(100):
-            n = int(rng.integers(1, 17))
-            w = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
-            grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 2)
-            grad[np.argmax(w)] = 0.0
-            if rng.uniform() < 0.1:
-                grad[:] = 0.0
-            self.assert_step_matches(grad, np.diag(w), self.radius(rng))
-
-    def test_single_element(self):
-        rng = np.random.default_rng(35)
-        for _ in range(50):
-            self.assert_step_matches(rng.standard_normal(1), rng.standard_normal((1, 1)) * 10.0,
-                                     self.radius(rng))
-
-    @pytest.mark.parametrize("newton_steps", [0, 1, 20])
-    @pytest.mark.parametrize("bracket", [4e-15, 0.5, -0.5])
-    def test_any_bracket_gives_plain_bisection(self, monkeypatch, newton_steps, bracket):
-        """The certificates alone make the result exact: a Newton iterate short
-        of the root, a wide bracket or one turned inside out (each side on the
-        wrong side of the root) must all give plain bisection's bits."""
-        monkeypatch.setattr(elementwise, "SHIFT_NEWTON_STEPS", newton_steps)
-        monkeypatch.setattr(elementwise, "SHIFT_BRACKET", bracket)
+    def test_newton_cap_never_binds(self, monkeypatch):
+        """SHIFT_NEWTON_STEPS is only a cap: a far larger one gives the same bits."""
         rng = np.random.default_rng(36)
-        for _ in range(60):
-            n = int(rng.integers(1, 17))
-            a = rng.standard_normal((n, n))
-            self.assert_step_matches(rng.standard_normal(n), a + a.T, self.radius(rng))
+        families = (self.indefinite, self.newton_step_just_outside, self.hard_case,
+                    self.single_element, self.near_pole)
+        cases = [family(rng) for family in families for _ in range(40)]
+        steps = [trust_region_step(*case) for case in cases]
+        monkeypatch.setattr(elementwise, "SHIFT_NEWTON_STEPS", 1000)
+        for case, s in zip(cases, steps):
+            assert trust_region_step(*case).tobytes() == s.tobytes()
 
 
 class TestSlowRidgeScenario:

@@ -33,7 +33,7 @@ from riscoupling.experiments import (
     write_csv,
 )
 
-from conftest import SLOW_RIDGE
+from conftest import SLOW_RIDGE, end_fire
 
 DATA = Path(__file__).parent / "data"
 
@@ -285,10 +285,6 @@ class TestArraySharing:
                 assert r.flags == (f"error:{error}",) and r.array_gain == 0.0
         # a factorisation that raised is not kept: each N = 3 row tries again
         assert calls.count("inverse") == calls.count("inv_sqrt") == 4 + 12
-
-
-def end_fire(n, spacing):
-    return Scenario(n=n, spacing=spacing, alpha_tx=0.0, alpha_rx=np.pi)
 
 
 # each takes a scenario and the factors given for it
