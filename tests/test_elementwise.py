@@ -746,17 +746,22 @@ class TestAccelerationStepBitForBit:
         return grad, hess
 
     @staticmethod
-    def bisection(grad, hess, radius):
+    def bisection(grad, hess, radius, lo=None, hi=None):
         """The trust-region step with the shift found by bisection, run until
-        the bracket holds adjacent floats."""
+        the bracket holds adjacent floats.  A given end on the wrong side of
+        the root is replaced by the default one."""
         w, v = np.linalg.eigh(hess)
         gt = v.T @ grad
         if w[-1] < 0.0:
             s = -gt / w
             if math.sqrt(s.dot(s)) <= radius:
                 return v @ s
-        lo = max(w[-1], 0.0)
-        hi = lo + math.sqrt(gt.dot(gt)) / radius + np.abs(w).max()
+        floor = max(w[-1], 0.0)
+        too_long = lambda mu: math.sqrt((gt / (mu - w)).dot(gt / (mu - w))) > radius
+        if lo is None or lo <= floor or not too_long(lo):
+            lo = floor
+        if hi is None or hi <= floor or too_long(hi):
+            hi = floor + math.sqrt(gt.dot(gt)) / radius + np.abs(w).max()
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
             t = gt / (mid - w)
@@ -884,6 +889,31 @@ class TestAccelerationStepBitForBit:
         monkeypatch.setattr(elementwise, "SHIFT_NEWTON_STEPS", 1000)
         for case, s in zip(cases, steps):
             assert trust_region_step(*case).tobytes() == s.tobytes()
+
+    @pytest.mark.parametrize("newton_steps", [0, 1, 20])
+    @pytest.mark.parametrize("bracket", [4e-15, 0.5, -0.5])
+    def test_any_bracket_gives_plain_bisection(self, newton_steps, bracket):
+        """The step is the root itself, not an artifact of where the oracle
+        starts: bisection from a bracket of relative half-width 4e-15, 0.5 or
+        turned inside out (-0.5, each end on the wrong side of the root),
+        centred on the shift after 0, 1 or 20 Newton steps, gives it too."""
+        rng = np.random.default_rng(36)
+        for _ in range(60):
+            n = int(rng.integers(1, 17))
+            a = rng.standard_normal((n, n))
+            grad, hess, radius = rng.standard_normal(n), a + a.T, self.radius(rng)
+            w, v = np.linalg.eigh(hess)
+            gt = v.T @ grad
+            mu = max(w[-1], 0.0, (w + np.abs(gt) / radius).max())
+            for _ in range(newton_steps):
+                s = gt / (mu - w)
+                ss = s.dot(s)
+                if math.sqrt(ss) <= radius:
+                    break
+                mu += (math.sqrt(ss) / radius - 1.0) * ss / s.dot(s / (mu - w))
+            step = trust_region_step(grad, hess, radius)
+            want = self.bisection(grad, hess, radius, mu * (1.0 - bracket), mu * (1.0 + bracket))
+            assert np.linalg.norm(step - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestSlowRidgeScenario:
