@@ -86,10 +86,9 @@ def ignore_mc_gain(s: Scenario, factors: ArrayFactors | None = None) -> float:
     """Array gain when the no-coupling solution (x = 0, i.e. Theta' = -I) is
     applied blindly to the true coupled channel.
 
-    At x = 0 the loading matrix is Z_R itself, so its inverse comes from
-    factors, which if given must be those of the scenario's array.
+    At x = 0 the loading matrix is Z_R itself: its inverse is read from the
+    factors the LOS channel carries.
     """
-    factors = factors or ArrayFactors(s)
     ch = build_los_scenario(s, factors)
-    z = ch.z_ds - ch.z_dr @ factors.inverse() @ ch.z_rs
+    z = ch.z_ds - ch.z_dr @ ch.factors.inverse @ ch.z_rs
     return channel_gain(z) / single_element_gain(s)

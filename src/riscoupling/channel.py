@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.linalg._umath_linalg as _umath_linalg
@@ -121,7 +121,8 @@ class ImpedanceChannel:
     """The four impedance blocks of the RIS-aided link plus the reference resistance.
 
     z_ds: K x M direct channel, z_dr: K x N, z_rs: N x M, z_r: N x N array
-    impedance matrix (complex symmetric, mutual coupling on the off-diagonals).
+    impedance matrix (complex symmetric, mutual coupling on the off-diagonals),
+    N >= 1.  factors, not an argument, is z_r's ArrayFactors on a LOS channel.
     """
 
     z_ds: np.ndarray
@@ -129,6 +130,7 @@ class ImpedanceChannel:
     z_rs: np.ndarray
     z_r: np.ndarray
     R: float
+    factors: ArrayFactors | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         z_ds = np.atleast_2d(np.asarray(self.z_ds, dtype=complex))
@@ -137,8 +139,8 @@ class ImpedanceChannel:
         z_r = np.atleast_2d(np.asarray(self.z_r, dtype=complex))
         k, m = z_ds.shape
         n = z_r.shape[0]
-        if z_r.shape != (n, n):
-            raise InvalidArgumentError("z_r must be square")
+        if z_r.shape != (n, n) or n == 0:
+            raise InvalidArgumentError("z_r must be square, of at least one element")
         if z_dr.shape != (k, n) or z_rs.shape != (n, m):
             raise InvalidArgumentError(
                 f"inconsistent block dimensions: z_ds {z_ds.shape}, "
@@ -200,7 +202,7 @@ def build_los_scenario(s: Scenario, factors: ArrayFactors | None = None) -> Impe
     The direct link is blocked (z_ds = 0); RIS-side links are pathloss-scaled
     steering vectors times R.  Z_R, Ohmic loss included, is the read-only
     matrix of factors, which if given must be those of the scenario's array;
-    the channels of one array then share one Z_R.
+    the channel carries them, so the channels of one array share them.
     """
     if factors is None:
         factors = ArrayFactors(s)
@@ -212,7 +214,9 @@ def build_los_scenario(s: Scenario, factors: ArrayFactors | None = None) -> Impe
     a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
     z_dr = np.sqrt(s.gamma_dr) * s.R * a_dr[None, :]
     z_rs = np.sqrt(s.gamma_rs) * s.R * a_rs[:, None]
-    return ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, factors.z_r, s.R)
+    ch = ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, factors.z_r, s.R)
+    object.__setattr__(ch, "factors", factors)
+    return ch
 
 
 def loading_matrix(z_r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -287,10 +291,10 @@ class ArrayFactors:
 
     Made for the array of a scenario (its N, spacing, gamma_loss and R, not
     its angles), it builds that array's Z_R once, Ohmic loss included: R*gamma
-    on the real diagonal.  Each factorisation is made on its first request
-    and kept for the later ones.  Z_R and the factors are read-only, so the
-    scenarios of one array share one instance.  A factorisation that raises
-    is not kept: the next request tries again and raises again.
+    on the real diagonal.  Each factorisation is made on its first read and
+    kept for the later ones.  Z_R and the factors are read-only, so the LOS
+    channels of one array's scenarios share one instance.  A factorisation
+    that raises is not kept: the next read tries again and raises again.
     """
 
     def __init__(self, s: Scenario):
@@ -299,27 +303,16 @@ class ArrayFactors:
         if s.gamma_loss > 0:
             z_r = z_r + s.gamma_loss * s.R * np.eye(s.n)
         self.z_r = _read_only(z_r)
-        self._inverse = self._re_inv_sqrt = None
 
-    def check(self, z_r: np.ndarray) -> ArrayFactors:
-        """self, refused unless z_r is this array's Z_R."""
-        if z_r is not self.z_r and not np.array_equal(z_r, self.z_r):
-            raise InvalidArgumentError(
-                f"factors of array {self.array} (n, spacing, gamma_loss, R) "
-                "given for a channel of another Z_R")
-        return self
-
+    @functools.cached_property
     def inverse(self) -> np.ndarray:
         """checked_inverse(Z_R), the inverse of the loading matrix at x = 0."""
-        if self._inverse is None:
-            self._inverse = _read_only(checked_inverse(self.z_r)[0])
-        return self._inverse
+        return _read_only(checked_inverse(self.z_r)[0])
 
+    @functools.cached_property
     def re_inv_sqrt(self) -> np.ndarray:
         """psd_inv_sqrt(Re Z_R), the whitening of the power-matching network."""
-        if self._re_inv_sqrt is None:
-            self._re_inv_sqrt = _read_only(psd_inv_sqrt(self.z_r.real))
-        return self._re_inv_sqrt
+        return _read_only(psd_inv_sqrt(self.z_r.real))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -360,15 +353,15 @@ def psd_sqrt(s: np.ndarray) -> np.ndarray:
 def psd_inv_sqrt(s: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root; eigenvalues below the relative floor map to 0."""
     w, v = _psd_eig(s)
-    floor = PINV_EIG_FLOOR * w.max() if w.size else 0.0
+    floor = PINV_EIG_FLOOR * w.max()
     inv = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > floor)
     return (v * inv) @ v.T
 
 
 def _psd_eig(s: np.ndarray):
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InvalidArgumentError("matrix must be square")
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
+        raise InvalidArgumentError("matrix must be square and nonempty")
     if not np.array_equal(s, s.T):
         if np.abs(s - s.T).max() > PSD_TOL * max(np.abs(s).max(), 1.0):
             raise InvalidArgumentError("matrix must be symmetric")

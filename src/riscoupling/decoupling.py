@@ -116,18 +116,14 @@ def reactance_transform(x: np.ndarray, R: float) -> np.ndarray:
     return -R**2 / x
 
 
-def effective_channel(ch: ImpedanceChannel,
-                      factors: ArrayFactors | None = None) -> ImpedanceChannel:
+def effective_channel(ch: ImpedanceChannel) -> ImpedanceChannel:
     """Decoupled model of ch: Z_R = R I, blocks Z_DR W and W Z_RS with W = sqrt(R) Re(Z_R)^{-1/2}.
 
     At loads x' = reactance_transform(x, R) it gives the channel of ch behind
-    its power-matching network at loads x.  Re(Z_R)^{-1/2} comes from factors,
-    which if given must be those of the array whose Z_R ch holds.
+    its power-matching network at loads x.  Re(Z_R)^{-1/2} is read from the
+    factors a LOS channel carries; a channel without them whitens its Z_R.
     """
-    if factors is None:
-        inv_sq = psd_inv_sqrt(ch.z_r.real)
-    else:
-        inv_sq = factors.check(ch.z_r).re_inv_sqrt()
+    inv_sq = psd_inv_sqrt(ch.z_r.real) if ch.factors is None else ch.factors.re_inv_sqrt
     root_r = math.sqrt(ch.R)
     return ImpedanceChannel(ch.z_ds, ch.z_dr @ inv_sq * root_r, root_r * inv_sq @ ch.z_rs,
                             ch.R * np.eye(ch.n), ch.R)
@@ -153,18 +149,17 @@ def reactance_to_theta(x: np.ndarray, R: float) -> np.ndarray:
     return (1j * x - R) / (1j * x + R)
 
 
-def closed_form_siso(ch: ImpedanceChannel, factors: ArrayFactors | None = None) -> SisoSolution:
+def closed_form_siso(ch: ImpedanceChannel) -> SisoSolution:
     """Globally optimal SISO channel gain of ch behind its power-matching network.
 
     Phase alignment in the decoupled model effective_channel(ch): every
     reflected term is rotated onto the phase of the composite direct term
     z_DS - (1/2R) z_DR'^T z_RS' (reference phase 0 when that term vanishes).
-    SisoSolution.x holds the loads x' of that model.  factors as in
-    effective_channel.
+    SisoSolution.x holds the loads x' of that model.
     """
     if ch.z_ds.shape != (1, 1):
         raise InvalidArgumentError("closed_form_siso requires K = M = 1")
-    eff = effective_channel(ch, factors)
+    eff = effective_channel(ch)
     prod = eff.z_dr[0, :] * eff.z_rs[:, 0]
     direct = complex(eff.z_ds[0, 0]) - prod.sum() / (2.0 * eff.R)
     amp = abs(direct) + np.abs(prod).sum() / (2.0 * eff.R)
@@ -185,4 +180,4 @@ def array_gain(s: Scenario, factors: ArrayFactors | None = None) -> float:
             f"spacing {s.spacing} below {MIN_SPACING}: coupling matrix too ill-conditioned "
             "(closed_form_siso does not check)"
         )
-    return closed_form_siso(build_los_scenario(s, factors), factors).gain / single_element_gain(s)
+    return closed_form_siso(build_los_scenario(s, factors)).gain / single_element_gain(s)

@@ -11,6 +11,7 @@ sorted, which fixes the order of the CSV rows.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
 
@@ -69,6 +70,11 @@ class SweepSpec:
             raise ConfigError(str(exc)) from None
         if not scenarios or not self.methods:
             raise ConfigError("sweep axes and methods must be nonempty")
+        # a repeated point would write rows that cannot be told apart
+        for name, points in (("scenario", scenarios), ("method", self.methods)):
+            repeated = [p for p, count in Counter(points).items() if count > 1]
+            if repeated:
+                raise ConfigError(f"repeated {name} {repeated[0]!r}")
         if set(self.scenario_id) & set(',"\r\n'):      # each would break the CSV row
             raise ConfigError(f"scenario_id {self.scenario_id!r} holds ',', '\"' or a line break")
         if not self.output:

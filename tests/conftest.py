@@ -39,7 +39,7 @@ def random_channel(rng, n, k=1, m=1, spacing=0.3):
     return ImpedanceChannel(z(k, m), 50.0 * z(k, n), 50.0 * z(n, m), z_r, 50.0)
 
 
-def _blas_threads() -> str:
+def blas_threads() -> str:
     """The thread count numpy's bundled OpenBLAS runs with, read (never set)
     through its exported getter; "unknown" where the library or symbol is absent."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -61,7 +61,7 @@ def _environment() -> str:
         blas = "unknown"
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     return (f"numpy {np.__version__}, BLAS {blas}, OPENBLAS_NUM_THREADS={threads}, "
-            f"BLAS threads {_blas_threads()}")
+            f"BLAS threads {blas_threads()}")
 
 
 def pytest_report_header(config):

@@ -15,6 +15,7 @@ from riscoupling import (
     channel_gain,
     evaluate_channel,
     init_context,
+    power_matching_network,
     psd_inv_sqrt,
     psd_sqrt,
     spectral_efficiency,
@@ -432,6 +433,18 @@ class TestStateValidation:
         with pytest.raises(InvalidArgumentError):
             ImpedanceChannel(np.zeros((1, 1)), np.zeros((1, 3)), np.zeros((2, 1)),
                              np.eye(2) * 50.0, 50.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ImpedanceChannel(np.ones((1, 1)), np.zeros((1, 0)), np.zeros((0, 1)),
+                                 np.zeros((0, 0)), 50.0),
+        lambda: psd_sqrt(np.zeros((0, 0))),
+        lambda: psd_inv_sqrt(np.zeros((0, 0))),
+        lambda: power_matching_network(np.zeros((0, 0)), 50.0),
+    ], ids=["channel", "psd_sqrt", "psd_inv_sqrt", "power_matching_network"])
+    def test_zero_elements_refused(self, build):
+        # an accepted zero-element channel raised a raw IndexError in every closed form
+        with pytest.raises(InvalidArgumentError, match="at least one|nonempty"):
+            build()
 
     def test_channel_symmetry_check(self):
         z_r = np.array([[50.0, 1.0], [2.0, 50.0]], dtype=complex)

@@ -1,11 +1,16 @@
+import importlib
+import inspect
+import pkgutil
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riscoupling
 from riscoupling import (
     ArrayFactors,
+    ImpedanceChannel,
     MethodId,
     RisState,
     Scenario,
@@ -101,6 +106,22 @@ methods = Decoupled
         with pytest.raises(ConfigError, match="scenario_id"):
             SweepSpec(n_list=(2,), spacing_list=(0.5,), angle_pairs=((0.0, 0.0),),
                       methods=(MethodId.NO_COUPLING,), scenario_id=scenario_id)
+
+    @pytest.mark.parametrize("line", [
+        "N = 4, 4",
+        "spacing = 0.25, 0.250",
+        "gamma_loss = 0, -0.0",
+        "angles = end-fire; 0:3.141592653589793",
+        "methods = Decoupled, NoCoupling, Decoupled",
+        "methods = ElementWise, ElementWise",
+    ])
+    def test_repeated_point_rejected(self, line):
+        # each would write rows that cannot be told apart
+        key = line.split(" = ")[0]
+        text = "\n".join(ln for ln in MINIMAL.splitlines() if not ln.startswith(key + " "))
+        name = "method" if key == "methods" else "scenario"
+        with pytest.raises(ConfigError, match=f"repeated {name}"):
+            parse_config(text + "\n" + line)
 
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_config("# header\n\n" + MINIMAL + "\n# trailing\n")
@@ -237,7 +258,7 @@ class TestArraySharing:
         for s, factors in seen:
             by_array.setdefault((s.spacing, s.gamma_loss), set()).add(id(factors))
             assert factors.array == s.array
-            for shared in (factors.z_r, factors.inverse(), factors.re_inv_sqrt()):
+            for shared in (factors.z_r, factors.inverse, factors.re_inv_sqrt):
                 with pytest.raises(ValueError, match="read-only"):
                     shared[0, 0] = 0.0
         assert len(seen) == 24 and len(by_array) == 4
@@ -249,8 +270,8 @@ class TestArraySharing:
         factors = ArrayFactors(s)
         z_r = factors.z_r
         assert z_r.tobytes() == build_los_scenario(s).z_r.tobytes()
-        inv, inv_sqrt = factors.inverse(), factors.re_inv_sqrt()
-        assert factors.inverse() is inv and factors.re_inv_sqrt() is inv_sqrt
+        inv, inv_sqrt = factors.inverse, factors.re_inv_sqrt
+        assert factors.inverse is inv and factors.re_inv_sqrt is inv_sqrt
         np.testing.assert_allclose(inv @ z_r, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(inv_sqrt @ z_r.real @ inv_sqrt, np.eye(4), atol=1e-12)
         for shared in (z_r, inv, inv_sqrt):
@@ -287,19 +308,22 @@ class TestArraySharing:
         assert calls.count("inverse") == calls.count("inv_sqrt") == 4 + 12
 
 
-# each takes a scenario and the factors given for it
+# each takes a scenario and the factors given for it; the functions of a
+# channel take its factors only as the LOS channel carries them
 FACTOR_USERS = {
     "array_gain": array_gain,
     "ignore_mc_gain": ignore_mc_gain,
     "build_los_scenario": build_los_scenario,
-    "effective_channel": lambda s, f: effective_channel(build_los_scenario(s), f),
-    "closed_form_siso": lambda s, f: closed_form_siso(build_los_scenario(s), f),
+    "effective_channel": lambda s, f: effective_channel(build_los_scenario(s, f)),
+    "closed_form_siso": lambda s, f: closed_form_siso(build_los_scenario(s, f)),
 }
 
 
 class TestFactorsOfAnotherArray:
-    """Factors are refused for a scenario or channel of another array, where
-    they would give another array's gains (33.9 for 3832.4 in array_gain)."""
+    """Factors are refused for a scenario of another array, where they would
+    give another array's gains (33.9 for 3832.4 in array_gain).
+    build_los_scenario refuses them, for its callers and for the functions
+    of the channel it makes."""
 
     @pytest.mark.parametrize("name", FACTOR_USERS)
     @pytest.mark.parametrize("other", [end_fire(8, 0.25), end_fire(4, 0.1),
@@ -307,7 +331,7 @@ class TestFactorsOfAnotherArray:
                                                 gamma_loss=0.1)])
     def test_refused(self, name, other):
         factors = ArrayFactors(other)
-        factors.inverse(), factors.re_inv_sqrt()
+        factors.inverse, factors.re_inv_sqrt
         with pytest.raises(InvalidArgumentError, match="factors of array"):
             FACTOR_USERS[name](end_fire(8, 0.1), factors)
 
@@ -321,6 +345,59 @@ class TestFactorsOfAnotherArray:
         s = end_fire(8, 0.1)
         assert array_gain(s, ArrayFactors(s)) == array_gain(s) == pytest.approx(3832.4, rel=1e-4)
         assert ignore_mc_gain(s, ArrayFactors(s)) == pytest.approx(8.32, rel=1e-3)
+
+
+class TestChannelCarriesFactors:
+    """A LOS channel carries its array's factors, and the functions of a
+    channel read them there."""
+
+    def test_los_channel_carries_the_factors_given(self):
+        s = end_fire(8, 0.1)
+        factors = ArrayFactors(s)
+        assert build_los_scenario(s, factors).factors is factors
+        own = build_los_scenario(s).factors
+        assert own is not factors and own.array == s.array
+
+    def test_closed_form_reuses_the_whitening(self, monkeypatch):
+        calls = []
+
+        def counted(z, _original=channel_module.psd_inv_sqrt):
+            calls.append(z.shape)
+            return _original(z)
+        monkeypatch.setattr(channel_module, "psd_inv_sqrt", counted)
+        monkeypatch.setattr(decoupling, "psd_inv_sqrt", counted)
+        factors = ArrayFactors(end_fire(8, 0.1))
+        factors.re_inv_sqrt
+        assert calls == [(8, 8)]
+        for alpha in (0.0, 0.7, np.pi / 2):
+            s = Scenario(n=8, spacing=0.1, alpha_tx=alpha, alpha_rx=np.pi - alpha)
+            closed_form_siso(build_los_scenario(s, factors))
+        assert calls == [(8, 8)]
+
+    @pytest.mark.parametrize("s", [end_fire(8, 0.1), end_fire(5, 0.3, gamma_loss=0.1)])
+    def test_hand_built_channel_whitens_its_own_z_r(self, s):
+        los = build_los_scenario(s)
+        hand = ImpedanceChannel(los.z_ds, los.z_dr, los.z_rs, los.z_r, los.R)
+        assert hand.factors is None and los.factors is not None
+        got, want = closed_form_siso(hand), closed_form_siso(los)
+        assert got.gain == want.gain
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.x.tobytes() == want.x.tobytes()
+
+    def test_only_the_scenario_builders_take_factors(self):
+        seen, takes = set(), set()
+        for info in pkgutil.iter_modules(riscoupling.__path__):
+            module = importlib.import_module(f"riscoupling.{info.name}")
+            for name, obj in vars(module).items():
+                if (name.startswith("_") or not callable(obj)
+                        or getattr(obj, "__module__", None) != module.__name__
+                        or isinstance(obj, type) and issubclass(obj, Exception)):
+                    continue
+                seen.add(name)
+                if "factors" in inspect.signature(obj).parameters:
+                    takes.add(name)
+        assert {"ImpedanceChannel", "effective_channel", "closed_form_siso"} <= seen
+        assert takes == {"build_los_scenario", "array_gain", "ignore_mc_gain"}
 
 
 def strip_wall_time(text: str) -> list[str]:
@@ -389,6 +466,12 @@ class TestCli:
         cfg.write_text(text + "\n" + line + "\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_repeated_point_exit_code(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MINIMAL.replace("N = 4", "N = 4, 4"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_csv_breaking_scenario_id_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
