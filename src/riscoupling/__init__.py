@@ -10,8 +10,6 @@ from .channel import (
     build_los_scenario,
     channel_gain,
     evaluate_channel,
-    psd_inv_sqrt,
-    psd_sqrt,
     single_element_gain,
     spectral_efficiency,
     steering_vector,
@@ -27,18 +25,7 @@ from .decoupling import (
     theta_to_reactance,
     transformed_load,
 )
-from .elementwise import (
-    OptimizeResult,
-    OptimizerConfig,
-    RankOneContext,
-    apply_update,
-    element_params,
-    init_context,
-    optimal_theta_se,
-    optimal_theta_siso,
-    optimize,
-    theta_to_delta_x,
-)
+from .elementwise import OptimizeResult, OptimizerConfig, optimize
 from .baselines import (
     MethodId,
     grid_search_phase,

@@ -121,8 +121,12 @@ class ImpedanceChannel:
     """The four impedance blocks of the RIS-aided link plus the reference resistance.
 
     z_ds: K x M direct channel, z_dr: K x N, z_rs: N x M, z_r: N x N array
-    impedance matrix (complex symmetric, mutual coupling on the off-diagonals),
-    N >= 1.  factors, not an argument, is z_r's ArrayFactors on a LOS channel.
+    impedance matrix (mutual coupling on the off-diagonals), N >= 1.  The
+    array is reciprocal, so z_r is complex symmetric: an exactly symmetric
+    z_r is stored as given, one within 1e-9 max(|z_r|, 1) of symmetric as
+    its symmetric part (z_r + z_r^T)/2, and any other is refused.  The
+    optimizer's rank-one updates rely on z_r^T = z_r holding exactly.
+    factors, not an argument, is z_r's ArrayFactors on a LOS channel.
     """
 
     z_ds: np.ndarray
@@ -148,16 +152,15 @@ class ImpedanceChannel:
             )
         if not 0.0 < self.R < np.inf:
             raise InvalidArgumentError("reference resistance must be positive and finite")
-        blocks = (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs), ("z_r", z_r))
-        for name, block in blocks:
+        for name, block in (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs), ("z_r", z_r)):
             if not np.all(np.isfinite(block)):
                 raise InvalidArgumentError(f"{name} must be finite")
+            object.__setattr__(self, name, block)
         if not np.array_equal(z_r, z_r.T):
             scale = max(np.abs(z_r).max(), 1.0)
             if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
                 raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
-        for name, block in blocks:
-            object.__setattr__(self, name, block)
+            object.__setattr__(self, "z_r", (z_r + z_r.T) / 2.0)
 
     @property
     def n(self) -> int:
@@ -359,7 +362,10 @@ def psd_inv_sqrt(s: np.ndarray) -> np.ndarray:
 
 
 def _psd_eig(s: np.ndarray):
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s)
+    if np.iscomplexobj(s) and s.imag.any():
+        raise InvalidArgumentError("matrix must be real")
+    s = np.asarray(s.real, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise InvalidArgumentError("matrix must be square and nonempty")
     if not np.array_equal(s, s.T):

@@ -30,10 +30,9 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    out_dir = Path(args.out)
-    out_path = out_dir / spec.output
-    try:        # the directory first, so an unusable --out fails before the sweep
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = Path(args.out) / spec.output
+    try:        # the directory first, so an unusable output directory fails before the sweep
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         records = run_sweep(spec, trace_elements=args.trace_elements)     # no file I/O
         write_csv(records, out_path)
     except OSError as exc:

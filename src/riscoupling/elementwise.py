@@ -153,7 +153,8 @@ class RankOneContext:
         self.z_bar = self.ch.z_ds - self.u @ self.ch.z_rs
 
     def column(self, n: int) -> np.ndarray:
-        """Column n of G, which is also row n (G is symmetric).  O(N k)."""
+        """Column n of G, which is also row n: G is symmetric because the
+        channel's Z_R is exactly so (ImpedanceChannel).  O(N k)."""
         return self.g0[n] - self.p[:self.k, n] @ self.q[:self.k]
 
 
@@ -370,7 +371,8 @@ def siso_derivatives(ctx: RankOneContext) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of |z|^2 with respect to the reactances x.
 
     With G = (Z_R + j diag x)^{-1}, u = z_DR G and v = G z_RS (G is symmetric
-    because Z_R is): dz/dx_n = j u_n v_n and d2z/dx_m dx_n = G_mn (u_m v_n + u_n v_m).
+    because ImpedanceChannel stores Z_R exactly symmetric): dz/dx_n = j u_n v_n
+    and d2z/dx_m dx_n = G_mn (u_m v_n + u_n v_m).
     O(N^2) given the cached inverse.
     """
     g_inv = ctx.z_inv
@@ -547,7 +549,7 @@ def _siso_element(cfg: OptimizerConfig, ctx: RankOneContext, n: int, obj: float,
 def _se_element(cfg: OptimizerConfig, ctx: RankOneContext, n: int, obj: float,
                 update: Update) -> tuple[float, bool]:
     """Update element n for the spectral efficiency obj; returns the objective
-    after it and whether the step saturated.
+    after it and whether a step was made that saturated.
 
     theta = -1 unless the closed-form gain exceeds
     SKIP_ROUNDOFF * eps * cond * |obj|, and the update is made only if the
@@ -565,7 +567,7 @@ def _se_element(cfg: OptimizerConfig, ctx: RankOneContext, n: int, obj: float,
 
     if ctx.cond > RANK_ONE_COND:
         update = reinvert_update
-    return (new if update(ctx, n, dx, keep) else obj), saturated
+    return (new, saturated) if update(ctx, n, dx, keep) else (obj, False)
 
 
 def _objective_pieces(cfg: OptimizerConfig, ch: ImpedanceChannel) -> tuple[Element, Derivatives]:

@@ -75,8 +75,9 @@ class SweepSpec:
             repeated = [p for p, count in Counter(points).items() if count > 1]
             if repeated:
                 raise ConfigError(f"repeated {name} {repeated[0]!r}")
-        if set(self.scenario_id) & set(',"\r\n'):      # each would break the CSV row
-            raise ConfigError(f"scenario_id {self.scenario_id!r} holds ',', '\"' or a line break")
+        if not self.scenario_id or set(self.scenario_id) & set(',"\r\n'):   # would break the CSV
+            raise ConfigError(f"scenario_id {self.scenario_id!r} is empty or holds ',', '\"' "
+                              "or a line break")
         if not self.output:
             object.__setattr__(self, "output", f"{self.scenario_id}.csv")
 

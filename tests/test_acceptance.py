@@ -133,9 +133,9 @@ def test_c06_elementwise_oracle_equivalence(oracle_runs):
     c = Criterion(6, "rank-one and dense-reinversion traces identical to 1e-9", 30.0)
     ok = True
     for s, fast, naive in oracle_runs:
-        m = min(fast.trace.size, naive.trace.size)
-        ok &= np.allclose(fast.trace[:m], naive.trace[:m], rtol=1e-9)
-        ok &= abs(fast.trace[-1] - naive.trace[-1]) <= 1e-9 * abs(naive.trace[-1])
+        # as bench/checks.traces_agree: equal lengths, and every entry within 1e-9
+        same = fast.trace.size == naive.trace.size
+        ok &= same and bool(np.all(np.abs(fast.trace - naive.trace) <= 1e-9 * np.abs(naive.trace)))
     c.finish(ok)
 
 

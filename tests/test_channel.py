@@ -14,15 +14,14 @@ from riscoupling import (
     build_los_scenario,
     channel_gain,
     evaluate_channel,
-    init_context,
     power_matching_network,
-    psd_inv_sqrt,
-    psd_sqrt,
     spectral_efficiency,
     steering_vector,
 )
 from riscoupling import channel as channel_module
-from riscoupling.channel import PINV_EIG_FLOOR, X_MAX, _psd_eig, checked_inverse, eigh, loading_matrix
+from riscoupling.channel import (PINV_EIG_FLOOR, X_MAX, _psd_eig, checked_inverse, eigh,
+                                 loading_matrix, psd_inv_sqrt, psd_sqrt)
+from riscoupling.elementwise import init_context
 from riscoupling.errors import (
     EigenvalueError,
     InvalidArgumentError,
@@ -368,6 +367,17 @@ class TestPsdSqrt:
         with pytest.raises(InvalidArgumentError):
             psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("root", [psd_sqrt, psd_inv_sqrt])
+    def test_rejects_complex(self, root):
+        # cast to float, np.eye(2) + 1j * np.eye(2) gave the roots of I
+        with pytest.raises(InvalidArgumentError, match="real"):
+            root(np.eye(2) + 1j * np.eye(2))
+
+    @pytest.mark.parametrize("root", [psd_sqrt, psd_inv_sqrt])
+    def test_complex_without_imaginary_part_is_its_real_part(self, root):
+        s = build_coupling_matrix(5, 0.2, 50.0).real
+        assert root(s + 0j).tobytes() == root(s).tobytes()
+
 
 class TestEigh:
     @pytest.mark.parametrize("n", [1, 13, 40, 112])
@@ -447,9 +457,17 @@ class TestStateValidation:
             build()
 
     def test_channel_symmetry_check(self):
-        z_r = np.array([[50.0, 1.0], [2.0, 50.0]], dtype=complex)
-        with pytest.raises(InvalidArgumentError):
-            ImpedanceChannel(np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((2, 1)), z_r, 50.0)
+        # the tolerance is 1e-9 times the largest |entry|, here the diagonal 50
+        for off in (1.0, 1.1e-9 * 50.0):
+            z_r = np.array([[50.0, 1.0 + off], [1.0, 50.0]], dtype=complex)
+            with pytest.raises(InvalidArgumentError, match="reciprocity"):
+                ImpedanceChannel(np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((2, 1)), z_r, 50.0)
+
+    def test_nearly_symmetric_z_r_stored_as_its_symmetric_part(self):
+        z_r = np.array([[50.0, 1.0 + 0.9e-9 * 50.0], [1.0, 50.0]], dtype=complex)
+        ch = ImpedanceChannel(np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((2, 1)), z_r, 50.0)
+        assert np.array_equal(ch.z_r, ch.z_r.T)
+        assert ch.z_r[0, 1] == (z_r[0, 1] + z_r[1, 0]) / 2.0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("block", ["z_ds", "z_dr", "z_rs", "z_r"])

@@ -94,9 +94,10 @@ methods = Decoupled
         with pytest.raises(ConfigError, match="Z-OPT"):
             parse_config(MINIMAL.replace("Decoupled", "Z-OPT"))
 
-    @pytest.mark.parametrize("scenario_id", ["a,b", 'a"b'])
+    @pytest.mark.parametrize("scenario_id", ["a,b", 'a"b', ""])
     def test_csv_breaking_scenario_id_rejected(self, scenario_id):
-        # a comma would shift every column of the row under the 12-column header
+        # a comma would shift every column of the row under the 12-column header;
+        # an empty id would write a hidden ".csv" whose rows start with an empty field
         with pytest.raises(ConfigError, match="scenario_id"):
             parse_config(f"scenario_id = {scenario_id}\n" + MINIMAL)
 
@@ -475,18 +476,27 @@ class TestCli:
 
     def test_csv_breaking_scenario_id_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("scenario_id = a,b\n" + MINIMAL)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert list(tmp_path.glob("*.csv")) == []
+        for scenario_id in ("a,b", ""):
+            cfg.write_text(f"scenario_id = {scenario_id}\n" + MINIMAL)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+            assert list(tmp_path.glob("*.csv")) == []
 
     def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "spec.cfg"
-        cfg.write_text(MINIMAL)
         calls = []
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
-        assert main(["run", "--config", str(cfg), "--out", str(cfg)]) == 1
-        assert calls == []
-        assert "error: cannot write output:" in capsys.readouterr().err
+        # --out is a file, or the config's output path runs under one
+        for text, out in ((MINIMAL, cfg), (MINIMAL + "output = spec.cfg/x.csv\n", tmp_path)):
+            cfg.write_text(text)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+            assert calls == []
+            assert "error: cannot write output:" in capsys.readouterr().err
+
+    def test_output_directory_made_before_the_sweep(self, tmp_path):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(MINIMAL + "output = sub/deeper/x.csv\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "sub" / "deeper" / "x.csv").read_text().startswith(CSV_HEADER)
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
