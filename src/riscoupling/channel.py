@@ -7,6 +7,8 @@ with Z_N = j diag(x) the adjustable lossless single-connected load.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 import numbers
@@ -29,6 +31,7 @@ _inv = functools.partial(_umath_linalg.inv, signature="D->D")
 solve_small = functools.partial(_umath_linalg.solve, signature="DD->D")
 _slogdet = functools.partial(_umath_linalg.slogdet, signature="D->Dd")
 _eigh = functools.partial(_umath_linalg.eigh_lo, signature="d->dd")
+
 
 # Reject loading matrices whose 1-norm condition estimate exceeds this.
 CONDITION_LIMIT = 1e14
@@ -91,6 +94,15 @@ def _check_args(n, names: str, *values) -> None:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
     if not all(map(math.isfinite, values)):
         raise InvalidArgumentError(f"{names} must be finite")
+
+
+def _symmetric(a: np.ndarray, rtol: float, message: str, scale: float = 0.0) -> np.ndarray:
+    """a if exactly symmetric, (a + a^T)/2 within rtol * (scale or max(|a|, 1)), else refused."""
+    if np.array_equal(a, a.T):
+        return a
+    if np.abs(a - a.T).max() > rtol * (scale or max(np.abs(a).max(), 1.0)):
+        raise InvalidArgumentError(message)
+    return (a + a.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -156,11 +168,8 @@ class ImpedanceChannel:
             if not np.all(np.isfinite(block)):
                 raise InvalidArgumentError(f"{name} must be finite")
             object.__setattr__(self, name, block)
-        if not np.array_equal(z_r, z_r.T):
-            scale = max(np.abs(z_r).max(), 1.0)
-            if np.abs(z_r - z_r.T).max() > 1e-9 * scale:
-                raise InvalidArgumentError("z_r must be complex symmetric (reciprocity)")
-            object.__setattr__(self, "z_r", (z_r + z_r.T) / 2.0)
+        object.__setattr__(self, "z_r", _symmetric(
+            z_r, 1e-9, "z_r must be complex symmetric (reciprocity)"))
 
     @property
     def n(self) -> int:
@@ -368,12 +377,40 @@ def _psd_eig(s: np.ndarray):
     s = np.asarray(s.real, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise InvalidArgumentError("matrix must be square and nonempty")
-    if not np.array_equal(s, s.T):
-        if np.abs(s - s.T).max() > PSD_TOL * max(np.abs(s).max(), 1.0):
-            raise InvalidArgumentError("matrix must be symmetric")
-        s = (s + s.T) / 2.0
+    s = _symmetric(s, PSD_TOL, "matrix must be symmetric")
     w, v = eigh(s)
     tol = PSD_TOL * max(abs(w[0]), abs(w[-1]), 1.0)
     if w[0] < -tol:
         raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
     return np.clip(w, 0.0, None), v
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """numpy's bundled OpenBLAS thread-count getter and setter, or a None getter and a no-op."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)     # finds symbols of the BLAS it links too
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return (lambda: None), (lambda threads: None)
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS runs with; None without it."""
+    return _openblas()[0]()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """BLAS on one thread, the caller's count restored on exit or exception: a with-block or,
+    called, a decorator.  Process-global: other Python threads see one BLAS thread meanwhile,
+    and scopes from several at once are not supported.  A no-op without bundled OpenBLAS."""
+    get, put = _openblas()
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)

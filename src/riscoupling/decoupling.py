@@ -24,6 +24,7 @@ from .channel import (
     ImpedanceChannel,
     RisState,
     Scenario,
+    _symmetric,
     build_los_scenario,
     checked_inverse,
     loading_matrix,
@@ -41,7 +42,9 @@ MIN_SPACING = 0.02
 
 @dataclass(frozen=True)
 class DecouplingNetwork:
-    """Impedance blocks of a reciprocal lossless 2N-port: [[z11, z12], [z12^T, z22]]."""
+    """Impedance blocks of a reciprocal lossless 2N-port: [[z11, z12], [z12^T, z22]].
+
+    z11 and z22 are stored exactly symmetric (channel._symmetric, at 1e-9 of the blocks' scale)."""
 
     z11: np.ndarray
     z12: np.ndarray
@@ -59,9 +62,9 @@ class DecouplingNetwork:
         scale = max(max(np.abs(b).max() for b in (self.z11, self.z12, self.z22)), 1.0)
         if max(np.abs(b.real).max() for b in (self.z11, self.z12, self.z22)) > 1e-9 * scale:
             raise InvalidArgumentError("network must be lossless: all blocks purely imaginary")
-        if (np.abs(self.z11 - self.z11.T).max() > 1e-9 * scale
-                or np.abs(self.z22 - self.z22.T).max() > 1e-9 * scale):
-            raise InvalidArgumentError("network must be reciprocal: z11, z22 symmetric")
+        for name in ("z11", "z22"):
+            object.__setattr__(self, name, _symmetric(
+                getattr(self, name), 1e-9, "network must be reciprocal: z11, z22 symmetric", scale))
 
     @property
     def n(self) -> int:

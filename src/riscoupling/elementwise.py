@@ -43,6 +43,7 @@ from .channel import (
     eigh,
     identity,
     loading_matrix,
+    one_blas_thread,
     solve_small,
     spectral_efficiency,
 )
@@ -132,8 +133,8 @@ class RankOneContext:
 
     def flush(self) -> None:
         """Fold the pending updates into the stored inverse: g0 -= p[:k]^T q[:k]."""
-        # as N vector-matrix products, not one N x k x N matrix product: work
-        # inside a sweep stays off multithreaded BLAS-3 (see README)
+        # as N vector-matrix products: one p[:k].T @ q[:k] product rounds otherwise
+        # and ends C06's fixture draw 47 one sweep (15 entries) off the dense trace
         self.g0 -= np.matmul(self.p[:self.k].T[:, None, :], self.q[:self.k])[:, 0]
         self.k = 0
 
@@ -582,6 +583,7 @@ def _objective_pieces(cfg: OptimizerConfig, ch: ImpedanceChannel) -> tuple[Eleme
     return _se_element, se_derivatives
 
 
+@one_blas_thread()
 def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
                       update: Update) -> OptimizeResult:
     """The sweep loop shared by optimize and the dense-reinversion reference.
@@ -593,7 +595,7 @@ def coordinate_ascent(ch: ImpedanceChannel, x0: RisState, cfg: OptimizerConfig,
     update skipped as roundoff records the unchanged objective.  Everything
     else, including the acceleration step, is common, so both backends follow
     the same trajectory up to roundoff; on badly conditioned runs the
-    acceleration step can amplify that roundoff.
+    acceleration step can amplify that roundoff.  BLAS runs on one thread (one_blas_thread).
     """
     element, derivatives = _objective_pieces(cfg, ch)
     ctx = init_context(ch, x0)

@@ -24,7 +24,8 @@ from .baselines import (
     naive_elementwise,
     no_coupling_gain,
 )
-from .channel import ArrayFactors, RisState, Scenario, build_los_scenario, single_element_gain
+from .channel import (ArrayFactors, RisState, Scenario, build_los_scenario, one_blas_thread,
+                      single_element_gain)
 from .decoupling import array_gain
 from .elementwise import OptimizerConfig, optimize
 from .errors import InvalidArgumentError, RisCouplingError
@@ -231,9 +232,11 @@ def _run_array(spec: SweepSpec, array: list[Scenario], trace_elements: bool) -> 
             for r in _run_method(spec, s, m, trace_elements, factors)]
 
 
+@one_blas_thread()
 def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord]:
     """Execute every (scenario, method) pair in turn, array by array; records
-    are sorted to fix the CSV order.  Nothing outlives its array or the call."""
+    are sorted to fix the CSV order.  Nothing outlives its array or the call.
+    BLAS runs on one thread (one_blas_thread), whatever the caller's count."""
     records = []
     for _, array in groupby(spec.scenarios(), key=lambda s: s.array):
         records += _run_array(spec, list(array), trace_elements)

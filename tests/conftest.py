@@ -1,17 +1,16 @@
 """Shared test inputs, and a session header naming the numerical environment
 the timings and tolerances ran in.
 
-The timing checks (C13) depend on the BLAS library and its thread count, so
-the log of every run names them.
+The timing checks (C13) depend on the BLAS library, so the log of every run
+names it and the caller's thread count; sweeps set their own (one_blas_thread).
 """
 
-import ctypes
-import glob
 import os
 
 import numpy as np
 
 from riscoupling import ImpedanceChannel, Scenario, build_coupling_matrix
+from riscoupling.channel import blas_threads
 
 # Draw 40 of the acceptance fixture: coordinate ascent alone needs about 3800
 # sweeps and stands at 0.615 of Decoupled after 500, so the end-of-sweep
@@ -39,20 +38,6 @@ def random_channel(rng, n, k=1, m=1, spacing=0.3):
     return ImpedanceChannel(z(k, m), 50.0 * z(k, n), 50.0 * z(n, m), z_r, 50.0)
 
 
-def blas_threads() -> str:
-    """The thread count numpy's bundled OpenBLAS runs with, read (never set)
-    through its exported getter; "unknown" where the library or symbol is absent."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        try:
-            getter = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        getter.restype = ctypes.c_int
-        return str(getter())
-    return "unknown"
-
-
 def _environment() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -61,7 +46,7 @@ def _environment() -> str:
         blas = "unknown"
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     return (f"numpy {np.__version__}, BLAS {blas}, OPENBLAS_NUM_THREADS={threads}, "
-            f"BLAS threads {blas_threads()}")
+            f"BLAS threads {blas_threads()} outside sweeps")
 
 
 def pytest_report_header(config):

@@ -27,10 +27,11 @@ from riscoupling import (
     spectral_efficiency,
     transformed_load,
 )
+from riscoupling.channel import blas_threads, one_blas_thread
 from riscoupling.decoupling import array_gain
 from riscoupling.elementwise import element_params, gram_factors, init_context, optimal_theta_se
 
-from conftest import blas_threads, end_fire, front_fire
+from conftest import end_fire, front_fire
 
 # Frozen 60-digit mpmath evaluations of the normalized end-fire array-gain
 # formula for N = 4 (pre-build oracle).
@@ -256,7 +257,9 @@ def test_c13_complexity_scaling():
             res = optimize(ch, RisState.zeros(n), cfg)
             times.append((time.perf_counter() - t0) / res.sweeps)
         medians[n] = float(np.median(times))
-    # the medians and thread count show by how much a timing-noise failure missed
+    with one_blas_thread():             # the scope optimize runs its sweeps in
+        in_sweep = blas_threads()
+    # the medians and thread counts show by how much a timing-noise failure missed
     c.finish(medians[64] <= 10.0 * medians[32],
              f"N=32 {1e3 * medians[32]:.2f} ms, N=64 {1e3 * medians[64]:.2f} ms per sweep, "
-             f"BLAS threads {blas_threads()}")
+             f"BLAS threads {blas_threads()} in the caller, {in_sweep} in the sweep")

@@ -1,3 +1,4 @@
+import types
 import warnings
 
 import numpy as np
@@ -19,9 +20,11 @@ from riscoupling import (
     steering_vector,
 )
 from riscoupling import channel as channel_module
-from riscoupling.channel import (PINV_EIG_FLOOR, X_MAX, _psd_eig, checked_inverse, eigh,
-                                 loading_matrix, psd_inv_sqrt, psd_sqrt)
+from riscoupling.channel import (PINV_EIG_FLOOR, X_MAX, _psd_eig, blas_threads, checked_inverse,
+                                 eigh, loading_matrix, one_blas_thread, psd_inv_sqrt, psd_sqrt)
+from riscoupling.decoupling import DecouplingNetwork
 from riscoupling.elementwise import init_context
+from riscoupling.experiments import parse_config, run_sweep
 from riscoupling.errors import (
     EigenvalueError,
     InvalidArgumentError,
@@ -469,6 +472,18 @@ class TestStateValidation:
         assert np.array_equal(ch.z_r, ch.z_r.T)
         assert ch.z_r[0, 1] == (z_r[0, 1] + z_r[1, 0]) / 2.0
 
+    @pytest.mark.parametrize("block", ["z11", "z22"])
+    def test_nearly_symmetric_network_block_stored_as_its_symmetric_part(self, block):
+        near = 1j * np.array([[50.0, 1.0 + 0.9e-9 * 50.0], [1.0, 50.0]])
+        exact = 1j * np.eye(2)
+        blocks = dict(z11=exact, z12=exact, z22=exact)
+        blocks[block] = near
+        net = DecouplingNetwork(**blocks)
+        stored = getattr(net, block)
+        assert np.array_equal(stored, stored.T)
+        assert stored[0, 1] == (near[0, 1] + near[1, 0]) / 2.0
+        assert getattr(net, "z22" if block == "z11" else "z11") is exact    # kept as given
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("block", ["z_ds", "z_dr", "z_rs", "z_r"])
     def test_channel_rejects_nonfinite_blocks(self, block, value):
@@ -485,3 +500,55 @@ class TestStateValidation:
         with pytest.raises(InvalidArgumentError, match="reference resistance"):
             ImpedanceChannel(np.zeros((1, 1)), np.ones((1, 2)), np.ones((2, 1)),
                              50.0 * np.eye(2), r)
+
+
+def _no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def caller_at_two(self):
+        """The caller's count forced to 2 through the scope's own lookup, restored after."""
+        get, put = channel_module._openblas()
+        before = get()
+        put(2)
+        try:
+            if get() != 2:
+                pytest.skip(f"BLAS thread count reads {get()} after setting 2")
+            yield get
+        finally:
+            put(before)
+
+    def test_one_thread_inside_and_the_callers_count_after(self, caller_at_two):
+        with one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+        assert one_blas_thread()(blas_threads)() == 1          # as a decorator
+        assert blas_threads() == 2
+
+    def test_callers_count_restored_when_the_body_raises(self, caller_at_two):
+        with pytest.raises(ZeroDivisionError):
+            with one_blas_thread():
+                1 / 0
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("cdll", [_no_library, lambda path: types.SimpleNamespace()],
+                             ids=["no library", "no symbols"])
+    def test_does_nothing_without_the_library(self, caller_at_two, monkeypatch, cdll):
+        monkeypatch.setattr(channel_module.ctypes, "CDLL", cdll)
+        channel_module._openblas.cache_clear()
+        try:
+            assert blas_threads() is None
+            with one_blas_thread():
+                assert caller_at_two() == 2
+            assert caller_at_two() == 2
+        finally:
+            channel_module._openblas.cache_clear()
+
+    def test_sweep_results_do_not_depend_on_the_callers_count(self, caller_at_two):
+        # a row whose gain the library rounds differently on 2 threads than on 1
+        spec = parse_config("N = 128\nspacing = 0.25\nangles = end-fire\nmethods = IgnoreMC\n")
+        at_two = run_sweep(spec)[0].array_gain
+        channel_module._openblas()[1](1)
+        assert run_sweep(spec)[0].array_gain == at_two

@@ -429,3 +429,19 @@ class TestLayering:
                     continue
                 offenders += [f"{path.name}:{node.lineno} {name}" for name in bad]
         assert offenders == []
+
+    def test_foreign_libraries_only_in_channel(self):
+        """channel.py alone loads a library through ctypes: the one that sets the
+        BLAS thread count; the tests' own conftest reads the count through it."""
+        paths = [*Path(channel.__file__).parent.glob("*.py"), Path(__file__).with_name("conftest.py")]
+        importers = []
+        for path in sorted(paths):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                importers += [path.name for m in modules if m.split(".")[0] == "ctypes"]
+        assert importers == ["channel.py"]
