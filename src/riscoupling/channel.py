@@ -105,6 +105,13 @@ def _symmetric(a: np.ndarray, rtol: float, message: str, scale: float = 0.0) -> 
     return (a + a.T) / 2.0
 
 
+def _checked_z_r(z_r: np.ndarray) -> np.ndarray:
+    """An array impedance matrix as ImpedanceChannel stores it: finite and symmetric, or refused."""
+    if not np.all(np.isfinite(z_r)):
+        raise InvalidArgumentError("z_r must be finite")
+    return _symmetric(z_r, 1e-9, "z_r must be complex symmetric (reciprocity)")
+
+
 @dataclass(frozen=True)
 class RisState:
     """Per-element load reactances of a lossless single-connected RIS."""
@@ -138,7 +145,8 @@ class ImpedanceChannel:
     z_r is stored as given, one within 1e-9 max(|z_r|, 1) of symmetric as
     its symmetric part (z_r + z_r^T)/2, and any other is refused.  The
     optimizer's rank-one updates rely on z_r^T = z_r holding exactly.
-    factors, not an argument, is z_r's ArrayFactors on a LOS channel.
+    factors, not an argument, is z_r's ArrayFactors on a LOS channel: that
+    z_r was checked once, when ArrayFactors built it, and is not checked again.
     """
 
     z_ds: np.ndarray
@@ -148,7 +156,7 @@ class ImpedanceChannel:
     R: float
     factors: ArrayFactors | None = field(init=False, default=None, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, factors: ArrayFactors | None = None):
         z_ds = np.atleast_2d(np.asarray(self.z_ds, dtype=complex))
         z_dr = np.atleast_2d(np.asarray(self.z_dr, dtype=complex))
         z_rs = np.atleast_2d(np.asarray(self.z_rs, dtype=complex))
@@ -164,12 +172,24 @@ class ImpedanceChannel:
             )
         if not 0.0 < self.R < np.inf:
             raise InvalidArgumentError("reference resistance must be positive and finite")
-        for name, block in (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs), ("z_r", z_r)):
+        for name, block in (("z_ds", z_ds), ("z_dr", z_dr), ("z_rs", z_rs)):
             if not np.all(np.isfinite(block)):
                 raise InvalidArgumentError(f"{name} must be finite")
             object.__setattr__(self, name, block)
-        object.__setattr__(self, "z_r", _symmetric(
-            z_r, 1e-9, "z_r must be complex symmetric (reciprocity)"))
+        if factors is None:
+            object.__setattr__(self, "z_r", _checked_z_r(z_r))
+        else:
+            object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def _on_array(cls, factors: ArrayFactors, z_ds, z_dr, z_rs, R: float) -> ImpedanceChannel:
+        """The channel on factors' checked z_r: build_los_scenario's construction path."""
+        ch = cls.__new__(cls)
+        for name, value in zip(("z_ds", "z_dr", "z_rs", "z_r", "R"),
+                               (z_ds, z_dr, z_rs, factors.z_r, R)):
+            object.__setattr__(ch, name, value)
+        ch.__post_init__(factors)
+        return ch
 
     @property
     def n(self) -> int:
@@ -226,9 +246,7 @@ def build_los_scenario(s: Scenario, factors: ArrayFactors | None = None) -> Impe
     a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
     z_dr = np.sqrt(s.gamma_dr) * s.R * a_dr[None, :]
     z_rs = np.sqrt(s.gamma_rs) * s.R * a_rs[:, None]
-    ch = ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, factors.z_r, s.R)
-    object.__setattr__(ch, "factors", factors)
-    return ch
+    return ImpedanceChannel._on_array(factors, np.zeros((1, 1)), z_dr, z_rs, s.R)
 
 
 def loading_matrix(z_r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -254,19 +272,9 @@ def _norm1(a: np.ndarray) -> float:
     return np.add.reduce(np.abs(a), axis=0).max(initial=0)
 
 
-# The gufunc flags a singular matrix as an invalid operation and returns NaN,
-# which is refused below, so the warning is not wanted.  As a decorator
-# np.errstate costs half what it costs as a with-block.
-@np.errstate(all="ignore")
-def checked_inverse(z_load: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse of a complex loading matrix and its condition number, refused
-    above CONDITION_LIMIT.
-
-    The 1-norm condition number ||A||_1 ||A^{-1}||_1 comes from this one
-    inverse; an exactly singular matrix, whose inverse LAPACK returns as NaN,
-    counts as infinitely ill-conditioned.
-    """
-    z_inv = _inv(z_load)
+def _condition(z_load: np.ndarray, z_inv: np.ndarray) -> float:
+    """||A||_1 ||A^{-1}||_1 of A = z_load, refused above CONDITION_LIMIT.  A singular
+    matrix, whose inverse LAPACK returns as NaN, counts as infinitely ill-conditioned."""
     cond = _norm1(z_load) * _norm1(z_inv)
     if not cond <= CONDITION_LIMIT:
         if math.isnan(cond):
@@ -275,7 +283,67 @@ def checked_inverse(z_load: np.ndarray) -> tuple[np.ndarray, float]:
             f"loading matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
             condition=cond,
         )
-    return z_inv, float(cond)
+    return float(cond)
+
+
+# The gufunc flags a singular matrix as an invalid operation and returns NaN,
+# which is refused below, so the warning is not wanted.  As a decorator
+# np.errstate costs half what it costs as a with-block.
+@np.errstate(all="ignore")
+def checked_inverse(z_load: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse of a complex loading matrix and its condition number, refused
+    above CONDITION_LIMIT.
+
+    A dense inverse of any square matrix.  The optimizer's loading matrices
+    are centrosymmetric only at x = 0, and splitting that start alone parted
+    the rank-one backend's trace from the dense oracle's on an ill-conditioned
+    run, so only ArrayFactors.inverse inverts through the halves (_halves).
+    """
+    z_inv = _inv(z_load)
+    return z_inv, _condition(z_load, z_inv)
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even (ceil(N/2) square) and odd (floor(N/2)) blocks of Q^T a Q, for an
+    exactly symmetric and exactly centrosymmetric a (J a J = a, J the exchange
+    matrix), which the orthogonal Q = [[I, I], [J, -J]]/sqrt(2) block-diagonalises.
+    For odd N the middle row and column of a, times sqrt(2), border the even block.
+    """
+    n = a.shape[0]
+    m = n // 2
+    top, cross = a[:m, :m], a[:m, ::-1][:, :m]          # A11 and A12 J
+    even = np.empty((n - m, n - m), a.dtype)
+    even[:m, :m] = top + cross
+    if n % 2:
+        even[:m, m] = a[:m, m] * math.sqrt(2.0)
+        even[m, :m] = a[m, :m] * math.sqrt(2.0)
+        even[m, m] = a[m, m]
+    return even, top - cross
+
+
+def _whole(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Q diag(p, q) Q^T, the matrix whose _halves are the even block p and the odd block q."""
+    m = q.shape[0]
+    n = p.shape[0] + m
+    out = np.empty((n, n), np.result_type(p, q))
+    plus, minus = (p[:m, :m] + q) / 2.0, (p[:m, :m] - q) / 2.0
+    out[:m, :m], out[n - m:, n - m:] = plus, plus[::-1, ::-1]
+    out[:m, n - m:], out[n - m:, :m] = minus[:, ::-1], minus[::-1]
+    if n % 2:
+        col, row = p[:m, m] / math.sqrt(2.0), p[m, :m] / math.sqrt(2.0)
+        out[:m, m], out[n - m:, m] = col, col[::-1]
+        out[m, :m], out[m, n - m:] = row, row[::-1]
+        out[m, m] = p[m, m]
+    return out
+
+
+@np.errstate(all="ignore")
+def _inverse_by_halves(z: np.ndarray) -> np.ndarray:
+    """checked_inverse(z)[0] of an exactly symmetric, exactly centrosymmetric z,
+    from the inverses of its halves.  The condition refused is z's own."""
+    z_inv = _whole(*map(_inv, _halves(z)))
+    _condition(z, z_inv)
+    return z_inv
 
 
 @np.errstate(all="ignore")
@@ -303,23 +371,28 @@ class ArrayFactors:
 
     Made for the array of a scenario (its N, spacing, gamma_loss and R, not
     its angles), it builds that array's Z_R once, Ohmic loss included: R*gamma
-    on the real diagonal.  Each factorisation is made on its first read and
+    on the real diagonal, and checks it there, once: the LOS channels built on
+    it do not check it again.  Each factorisation is made on its first read and
     kept for the later ones.  Z_R and the factors are read-only, so the LOS
     channels of one array's scenarios share one instance.  A factorisation
     that raises is not kept: the next read tries again and raises again.
+    Z_R is symmetric Toeplitz, so centrosymmetric: both factorisations work on
+    its two half-size blocks (_halves), at about a quarter of the dense flops.
     """
 
     def __init__(self, s: Scenario):
         self.array = s.array
         z_r = build_coupling_matrix(s.n, s.spacing, s.R)
         if s.gamma_loss > 0:
-            z_r = z_r + s.gamma_loss * s.R * np.eye(s.n)
-        self.z_r = _read_only(z_r)
+            z_r.flat[::s.n + 1] += s.gamma_loss * s.R
+        self.z_r = _read_only(_checked_z_r(z_r))
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
-        """checked_inverse(Z_R), the inverse of the loading matrix at x = 0."""
-        return _read_only(checked_inverse(self.z_r)[0])
+        """checked_inverse(Z_R)[0], the inverse of the loading matrix at x = 0,
+        from Z_R's halves; refused as checked_inverse refuses, on the condition
+        number of the whole Z_R."""
+        return _read_only(_inverse_by_halves(self.z_r))
 
     @functools.cached_property
     def re_inv_sqrt(self) -> np.ndarray:
@@ -358,19 +431,22 @@ def spectral_efficiency(z: np.ndarray) -> float:
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:
     """Unique symmetric PSD square root of a real symmetric PSD matrix."""
-    w, v = _psd_eig(s)
-    return (v * np.sqrt(w)) @ v.T
+    return _psd_root(s, inverse=False)
 
 
 def psd_inv_sqrt(s: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root; eigenvalues below the relative floor map to 0."""
-    w, v = _psd_eig(s)
-    floor = PINV_EIG_FLOOR * w.max()
-    inv = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > floor)
-    return (v * inv) @ v.T
+    """Pseudo-inverse square root; eigenvalues below the relative floor map to 0.
+
+    An exactly centrosymmetric s, as a line array's Re Z_R is, is eigendecomposed
+    through its halves (_halves), any other whole; the PSD test and the floor
+    read the eigenvalues of the whole s.
+    """
+    return _psd_root(s, inverse=True)
 
 
-def _psd_eig(s: np.ndarray):
+# A non-finite s reaches eigh, which refuses it, without the warnings of inf - inf.
+@np.errstate(all="ignore")
+def _psd_root(s: np.ndarray, inverse: bool) -> np.ndarray:
     s = np.asarray(s)
     if np.iscomplexobj(s) and s.imag.any():
         raise InvalidArgumentError("matrix must be real")
@@ -378,11 +454,20 @@ def _psd_eig(s: np.ndarray):
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise InvalidArgumentError("matrix must be square and nonempty")
     s = _symmetric(s, PSD_TOL, "matrix must be symmetric")
-    w, v = eigh(s)
-    tol = PSD_TOL * max(abs(w[0]), abs(w[-1]), 1.0)
-    if w[0] < -tol:
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
-    return np.clip(w, 0.0, None), v
+    split = np.array_equal(s, s[::-1, ::-1])
+    eigs = [eigh(block) for block in (_halves(s) if split else (s,))]
+    w = np.concatenate([w for w, _ in eigs])          # the eigenvalues of s, by block
+    lo = w.min()
+    tol = PSD_TOL * max(abs(lo), abs(w.max()), 1.0)
+    if lo < -tol:
+        raise NotPSDError(f"eigenvalue {lo:.3e} below -{tol:.1e}")
+    w = np.clip(w, 0.0, None)
+    f = np.sqrt(w)
+    if inverse:
+        f = np.divide(1.0, f, out=np.zeros_like(w), where=w > PINV_EIG_FLOOR * w.max())
+    h = eigs[0][0].size
+    roots = [(v * part) @ v.T for (_, v), part in zip(eigs, (f[:h], f[h:]))]
+    return _whole(*roots) if split else roots[0]
 
 
 @functools.cache

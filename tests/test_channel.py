@@ -1,5 +1,6 @@
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from riscoupling import (
     steering_vector,
 )
 from riscoupling import channel as channel_module
-from riscoupling.channel import (PINV_EIG_FLOOR, X_MAX, _psd_eig, blas_threads, checked_inverse,
-                                 eigh, loading_matrix, one_blas_thread, psd_inv_sqrt, psd_sqrt)
+from riscoupling.channel import (PINV_EIG_FLOOR, X_MAX, _halves, _inverse_by_halves, _whole,
+                                 blas_threads, checked_inverse, eigh, loading_matrix,
+                                 one_blas_thread, psd_inv_sqrt, psd_sqrt)
 from riscoupling.decoupling import DecouplingNetwork
 from riscoupling.elementwise import init_context
 from riscoupling.experiments import parse_config, run_sweep
@@ -349,6 +351,8 @@ class TestPsdSqrt:
         assert np.array_equal(psd_inv_sqrt(np.zeros((n, n))), np.zeros((n, n)))
 
     def test_inv_sqrt_matches_first_form_bit_for_bit(self):
+        """The first form on the whole matrix; on each half of an exactly
+        centrosymmetric one, floored at the whole matrix's largest eigenvalue."""
         rng = np.random.default_rng(45)
         mats = [np.diag([1.0, 0.0]), np.diag([4.0, 1e-20, 9.0]), np.eye(3)]
         mats += [build_coupling_matrix(n, d, 50.0).real
@@ -357,9 +361,15 @@ class TestPsdSqrt:
             a = rng.standard_normal((n, n + 1))
             mats.append(a @ a.T)
         for s in mats:
-            w, v = _psd_eig(s)
-            floor = PINV_EIG_FLOOR * w.max()
-            want = (v * np.where(w > floor, 1.0 / np.sqrt(np.maximum(w, floor)), 0.0)) @ v.T
+            split = np.array_equal(s, s[::-1, ::-1])
+            eigs = [np.linalg.eigh(block) for block in (_halves(s) if split else (s,))]
+            floor = PINV_EIG_FLOOR * max(np.clip(w, 0.0, None).max(initial=0.0) for w, _ in eigs)
+            roots = []
+            for w, v in eigs:
+                w = np.clip(w, 0.0, None)
+                roots.append((v * np.where(w > floor, 1.0 / np.sqrt(np.maximum(w, floor)), 0.0))
+                             @ v.T)
+            want = _whole(*roots) if split else roots[0]
             assert psd_inv_sqrt(s).tobytes() == want.tobytes()
 
     def test_rejects_indefinite(self):
@@ -380,6 +390,145 @@ class TestPsdSqrt:
     def test_complex_without_imaginary_part_is_its_real_part(self, root):
         s = build_coupling_matrix(5, 0.2, 50.0).real
         assert root(s + 0j).tobytes() == root(s).tobytes()
+
+
+def full_q(n):
+    """Q = [[I, I], [J, -J]]/sqrt(2), with e_m as its middle column for odd n, densely."""
+    m = n // 2
+    q = np.zeros((n, n))
+    for i in range(m):
+        q[[i, n - 1 - i], i] = 1.0
+        q[[i, n - 1 - i], n - m + i] = 1.0, -1.0
+    q /= np.sqrt(2.0)
+    if n % 2:
+        q[m, m] = 1.0
+    return q
+
+
+SHIPPED_CONFIGS = Path(channel_module.__file__).parent / "configs"
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+class TestHalves:
+    """A line array's Z_R is centrosymmetric: ArrayFactors inverts and whitens
+    it through its even and odd halves."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_halves_are_the_blocks_of_q_transpose_a_q(self, n):
+        a = build_coupling_matrix(n, 0.1, 50.0)
+        q = full_q(n)
+        np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-15)
+        even, odd = _halves(a)
+        rotated, h = q.T @ a @ q, n - n // 2
+        np.testing.assert_allclose(even, rotated[:h, :h], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(odd, rotated[h:, h:], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(rotated[:h, h:], 0.0, atol=1e-13)
+        assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+        np.testing.assert_allclose(_whole(even, odd), a, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("spacing", [0.05, 0.1, 0.25, 0.5])
+    def test_inverse_matches_the_dense_inverse(self, spacing, gamma):
+        for n in range(1, 41):
+            factors = ArrayFactors(Scenario(n=n, spacing=spacing, alpha_tx=0.0, alpha_rx=1.0,
+                                            gamma_loss=gamma))
+            want = checked_inverse(factors.z_r)[0]
+            got = factors.inverse
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_singular_centrosymmetric_matrix_is_refused(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericallySingularError, match="condition estimate inf") as exc:
+                _inverse_by_halves(np.full((n, n), 50.0, dtype=complex))
+        assert exc.value.condition == np.inf
+
+    @pytest.mark.parametrize("s", [[[1.0, 2.0], [2.0, 1.0]],
+                                   [[1.0, 0.5, 3.0], [0.5, 2.0, 0.5], [3.0, 0.5, 1.0]]])
+    def test_indefinite_centrosymmetric_matrix_is_refused(self, s):
+        with pytest.raises(NotPSDError):
+            psd_inv_sqrt(np.array(s))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_floor_is_the_whole_matrixs(self, n):
+        # the odd half lies wholly below 1e-12 of the whole matrix's largest
+        # eigenvalue, far above 1e-12 of its own: it is dropped, as whole
+        even = np.diag(np.linspace(1.0, 2.0, n - n // 2))
+        odd = np.diag(np.linspace(1e-14, 1.5e-14, n // 2))
+        s = _whole(even, odd)
+        assert np.array_equal(s, s.T) and np.array_equal(s, s[::-1, ::-1])
+        w, v = np.linalg.eigh(s)
+        want = (v * np.where(w > PINV_EIG_FLOOR * w.max(), 1.0 / np.sqrt(np.abs(w)), 0.0)) @ v.T
+        got = psd_inv_sqrt(s)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.abs(got).max() < 2.0
+
+    def test_not_exactly_centrosymmetric_stays_dense(self):
+        s = build_coupling_matrix(6, 0.25, 50.0).real
+        s[0, 1] = s[1, 0] = np.nextafter(s[0, 1], np.inf)
+        w, v = np.linalg.eigh(s)
+        want = (v * np.where(w > PINV_EIG_FLOOR * w.max(), 1.0 / np.sqrt(np.abs(w)), 0.0)) @ v.T
+        assert psd_inv_sqrt(s).tobytes() == want.tobytes()
+
+    def test_every_shipped_array_takes_the_halves(self, monkeypatch):
+        calls = {"_halves": 0, "psd_inv_sqrt": 0, "_inverse_by_halves": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(channel_module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(channel_module, name, counted)
+        configs = sorted(SHIPPED_CONFIGS.glob("fig*.cfg")) + sorted(BENCH_CONFIGS.glob("*.cfg"))
+        assert len(configs) == 9
+        for path in configs:
+            before = dict(calls)
+            run_sweep(parse_config(path.read_text()))
+            factorised = sum(calls[k] - before[k] for k in ("psd_inv_sqrt", "_inverse_by_halves"))
+            assert factorised > 0 and calls["_halves"] - before["_halves"] == factorised, path.name
+
+
+class TestZrCheckedOnce:
+    """ArrayFactors checks the Z_R it builds; a LOS channel built on it does not
+    check it again, and every other channel checks its own."""
+
+    @staticmethod
+    def count_symmetric(monkeypatch):
+        calls = []
+
+        def counted(a, *args, _original=channel_module._symmetric):
+            calls.append(a.shape)
+            return _original(a, *args)
+        monkeypatch.setattr(channel_module, "_symmetric", counted)
+        return calls
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_los_channel_on_factors_skips_the_check(self, monkeypatch, gamma):
+        calls = self.count_symmetric(monkeypatch)
+        s = Scenario(n=6, spacing=0.25, alpha_tx=0.3, alpha_rx=2.0, gamma_loss=gamma)
+        factors = ArrayFactors(s)
+        assert calls == [(6, 6)]
+        los = build_los_scenario(s, factors)
+        assert calls == [(6, 6)] and los.z_r is factors.z_r and los.factors is factors
+        hand = ImpedanceChannel(los.z_ds, los.z_dr, los.z_rs, np.array(factors.z_r), s.R)
+        assert calls == [(6, 6), (6, 6)]
+        assert hand.z_r.tobytes() == los.z_r.tobytes() and hand.factors is None
+
+    def test_los_channel_still_checks_its_links(self):
+        s = Scenario(n=3, spacing=0.25, alpha_tx=0.3, alpha_rx=2.0)
+        factors = ArrayFactors(s)
+        with pytest.raises(InvalidArgumentError, match="z_dr must be finite"):
+            ImpedanceChannel._on_array(factors, np.zeros((1, 1)), np.full((1, 3), np.nan),
+                                       np.ones((3, 1)), s.R)
+        with pytest.raises(InvalidArgumentError, match="inconsistent block dimensions"):
+            ImpedanceChannel._on_array(factors, np.zeros((1, 1)), np.ones((1, 2)),
+                                       np.ones((3, 1)), s.R)
+
+    def test_overflowing_z_r_is_refused_by_array_factors(self):
+        # the diagonal R (1 + gamma_loss) overflows to inf; the off-diagonals stay finite
+        s = Scenario(n=2, spacing=0.25, alpha_tx=0.0, alpha_rx=np.pi, gamma_loss=10.0, R=1e308)
+        for build in (ArrayFactors, build_los_scenario):
+            with pytest.raises(InvalidArgumentError, match="z_r must be finite"):
+                build(s)
 
 
 class TestEigh:

@@ -332,6 +332,12 @@ class TestSpecializedGains:
         assert (array_gain(front), array_gain(end)) == pytest.approx(
             ILL_CONDITIONED_ORACLE[n, spacing], rel=1e-9)
 
+    def test_front_fire_sixteen_at_quarter_wave_exact(self):
+        # the front-fire steering vector is even, so only the even half of C enters,
+        # and its condition number is far below C's
+        assert array_gain(front_fire(16, 0.25)) == pytest.approx(
+            ILL_CONDITIONED_ORACLE[16, 0.25][0], rel=1e-9)
+
     def test_end_fire_pair_approaches_sixteen(self):
         # frozen 60-digit evaluation at d = 0.01, below MIN_SPACING
         end = end_fire(2, 0.01)

@@ -229,7 +229,7 @@ class TestArraySharing:
         assert len(by_array) == 4 and all(len(ids) == 1 for ids in by_array.values())
 
     def test_one_factorisation_per_array_per_call(self, monkeypatch):
-        calls = {"psd_inv_sqrt": 0, "checked_inverse": 0}
+        calls = {"psd_inv_sqrt": 0, "_inverse_by_halves": 0}
         for name in calls:
             def counted(z, _name=name, _original=getattr(channel_module, name)):
                 calls[_name] += 1
@@ -238,7 +238,7 @@ class TestArraySharing:
         spec = parse_config(SHARED_ARRAYS)
         for sweeps in (1, 2):
             assert len(run_sweep(spec)) == 24
-            assert calls == {"psd_inv_sqrt": 4 * sweeps, "checked_inverse": 4 * sweeps}
+            assert calls == {"psd_inv_sqrt": 4 * sweeps, "_inverse_by_halves": 4 * sweeps}
 
     def test_rows_equal_standalone_gains(self, monkeypatch):
         seen = []
@@ -281,21 +281,21 @@ class TestArraySharing:
                 shared += 1.0
 
     def test_failed_factorisation_flags_every_row_of_its_array(self, monkeypatch):
-        checked_inverse, psd_inv_sqrt = channel_module.checked_inverse, channel_module.psd_inv_sqrt
+        inverse, psd_inv_sqrt = channel_module._inverse_by_halves, channel_module.psd_inv_sqrt
         calls = []
 
         def singular(z):
             calls.append("inverse")
             if z.shape == (3, 3):
                 raise NumericallySingularError("singular", condition=np.inf)
-            return checked_inverse(z)
+            return inverse(z)
 
         def not_psd(s):
             calls.append("inv_sqrt")
             if s.shape == (3, 3):
                 raise NotPSDError("not PSD")
             return psd_inv_sqrt(s)
-        monkeypatch.setattr(channel_module, "checked_inverse", singular)
+        monkeypatch.setattr(channel_module, "_inverse_by_halves", singular)
         monkeypatch.setattr(channel_module, "psd_inv_sqrt", not_psd)
         records = run_sweep(parse_config(SHARED_ARRAYS.replace("N = 3", "N = 2, 3")))
         assert len(records) == 48
