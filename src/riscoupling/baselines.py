@@ -8,7 +8,6 @@ import enum
 import numpy as np
 
 from .channel import (
-    ArrayFactors,
     ImpedanceChannel,
     RisState,
     Scenario,
@@ -23,7 +22,7 @@ from .elementwise import (
     coordinate_ascent,
     reinvert_update,
 )
-from .decoupling import effective_channel
+from .decoupling import _decoupled_siso
 from .errors import InvalidArgumentError
 
 
@@ -60,12 +59,9 @@ def grid_search_phase(ch: ImpedanceChannel) -> float:
     n = ch.n
     if n > 3:
         raise InvalidArgumentError(f"full phase grid refused for N = {n} > 3")
-    if ch.z_ds.shape != (1, 1):
-        raise InvalidArgumentError("grid search is SISO only")
     points = 3600 if n == 1 else 72
-    eff = effective_channel(ch)
-    prod = eff.z_dr[0, :] * eff.z_rs[:, 0] / (2.0 * eff.R)
-    direct = complex(eff.z_ds[0, 0]) - prod.sum()
+    direct, prod = _decoupled_siso(ch)
+    prod = prod / (2.0 * ch.R)
     phases = np.exp(2j * np.pi * np.arange(points) / points)
     z = np.full((points,) * n, direct, dtype=complex)
     for i in range(n):
@@ -82,13 +78,13 @@ def no_coupling_gain(s: Scenario) -> float:
     return float(abs(a_dr @ a_rs) + s.n) ** 2 / 4.0
 
 
-def ignore_mc_gain(s: Scenario, factors: ArrayFactors | None = None) -> float:
+def ignore_mc_gain(s: Scenario) -> float:
     """Array gain when the no-coupling solution (x = 0, i.e. Theta' = -I) is
     applied blindly to the true coupled channel.
 
     At x = 0 the loading matrix is Z_R itself: its inverse is read from the
     factors the LOS channel carries.
     """
-    ch = build_los_scenario(s, factors)
+    ch = build_los_scenario(s)
     z = ch.z_ds - ch.z_dr @ ch.factors.inverse @ ch.z_rs
     return channel_gain(z) / single_element_gain(s)

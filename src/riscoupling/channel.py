@@ -105,6 +105,13 @@ def _symmetric(a: np.ndarray, rtol: float, message: str, scale: float = 0.0) -> 
     return (a + a.T) / 2.0
 
 
+def _real(a, what: str) -> np.ndarray:
+    """a as a float array; a complex a only if its imaginary part is zero, else refused."""
+    if np.iscomplexobj(a) and np.imag(a).any():
+        raise InvalidArgumentError(f"{what} must be real")
+    return np.asarray(np.real(a), dtype=float)
+
+
 def _checked_z_r(z_r: np.ndarray) -> np.ndarray:
     """An array impedance matrix as ImpedanceChannel stores it: finite and symmetric, or refused."""
     if not np.all(np.isfinite(z_r)):
@@ -119,7 +126,7 @@ class RisState:
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = _real(self.x, "reactances")
         if x.ndim != 1:
             raise InvalidArgumentError("reactance vector must be one-dimensional")
         if not np.isfinite(x).all():
@@ -228,20 +235,18 @@ def steering_vector(n: int, spacing: float, alpha: float) -> np.ndarray:
     return np.exp(-1j * np.arange(n) * 2.0 * np.pi * spacing * np.cos(alpha))
 
 
-def build_los_scenario(s: Scenario, factors: ArrayFactors | None = None) -> ImpedanceChannel:
+def build_los_scenario(s: Scenario) -> ImpedanceChannel:
     """Construct the SISO LOS impedance channel of the line scenario.
 
     The direct link is blocked (z_ds = 0); RIS-side links are pathloss-scaled
-    steering vectors times R.  Z_R, Ohmic loss included, is the read-only
-    matrix of factors, which if given must be those of the scenario's array;
-    the channel carries them, so the channels of one array share them.
+    steering vectors times R.  Z_R, Ohmic loss included, is read-only and comes
+    with its factors from the ArrayFactors of the last array asked for, which
+    are dropped before another array's are built; one array's channels share them.
     """
-    if factors is None:
-        factors = ArrayFactors(s)
-    elif factors.array != s.array:
-        raise InvalidArgumentError(
-            f"factors of array {factors.array} given for a scenario of array {s.array} "
-            "(n, spacing, gamma_loss, R)")
+    factors = ArrayFactors._last
+    if factors is None or factors.array != s.array:
+        factors = ArrayFactors._last = None     # the old array's go before the new are built
+        factors = ArrayFactors._last = ArrayFactors(s)
     a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
     a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
     z_dr = np.sqrt(s.gamma_dr) * s.R * a_dr[None, :]
@@ -366,19 +371,52 @@ def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
     return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch.z_r, state.x))[0] @ ch.z_rs
 
 
+@functools.cache
+def _openblas() -> tuple:
+    """numpy's bundled OpenBLAS thread-count getter and setter, or a None getter and a no-op."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)     # finds symbols of the BLAS it links too
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return (lambda: None), (lambda threads: None)
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS runs with; None without it."""
+    return _openblas()[0]()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """BLAS on one thread, the caller's count restored on exit or exception: a with-block or,
+    called, a decorator.  Process-global: other Python threads see one BLAS thread meanwhile,
+    and scopes from several at once are not supported.  A no-op without bundled OpenBLAS."""
+    get, put = _openblas()
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 class ArrayFactors:
     """One array's impedance matrix Z_R and its O(N^3) factorisations.
 
     Made for the array of a scenario (its N, spacing, gamma_loss and R, not
     its angles), it builds that array's Z_R once, Ohmic loss included: R*gamma
     on the real diagonal, and checks it there, once: the LOS channels built on
-    it do not check it again.  Each factorisation is made on its first read and
-    kept for the later ones.  Z_R and the factors are read-only, so the LOS
-    channels of one array's scenarios share one instance.  A factorisation
-    that raises is not kept: the next read tries again and raises again.
-    Z_R is symmetric Toeplitz, so centrosymmetric: both factorisations work on
-    its two half-size blocks (_halves), at about a quarter of the dense flops.
+    it do not check it again.  Each factorisation is made on its first read,
+    on one BLAS thread whatever the caller's count, and kept; one that raises
+    is not kept.  Z_R and the factors are read-only, so the LOS channels of one
+    array share one instance (_last).  Z_R is symmetric Toeplitz, so
+    centrosymmetric: both factorisations work on its two half-size blocks
+    (_halves), at about a quarter of the dense flops.
     """
+
+    _last = None        # build_los_scenario's one-slot memo: the last array's ArrayFactors
 
     def __init__(self, s: Scenario):
         self.array = s.array
@@ -388,6 +426,7 @@ class ArrayFactors:
         self.z_r = _read_only(_checked_z_r(z_r))
 
     @functools.cached_property
+    @one_blas_thread()
     def inverse(self) -> np.ndarray:
         """checked_inverse(Z_R)[0], the inverse of the loading matrix at x = 0,
         from Z_R's halves; refused as checked_inverse refuses, on the condition
@@ -395,6 +434,7 @@ class ArrayFactors:
         return _read_only(_inverse_by_halves(self.z_r))
 
     @functools.cached_property
+    @one_blas_thread()
     def re_inv_sqrt(self) -> np.ndarray:
         """psd_inv_sqrt(Re Z_R), the whitening of the power-matching network."""
         return _read_only(psd_inv_sqrt(self.z_r.real))
@@ -447,10 +487,7 @@ def psd_inv_sqrt(s: np.ndarray) -> np.ndarray:
 # A non-finite s reaches eigh, which refuses it, without the warnings of inf - inf.
 @np.errstate(all="ignore")
 def _psd_root(s: np.ndarray, inverse: bool) -> np.ndarray:
-    s = np.asarray(s)
-    if np.iscomplexobj(s) and s.imag.any():
-        raise InvalidArgumentError("matrix must be real")
-    s = np.asarray(s.real, dtype=float)
+    s = _real(s, "matrix")
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise InvalidArgumentError("matrix must be square and nonempty")
     s = _symmetric(s, PSD_TOL, "matrix must be symmetric")
@@ -468,34 +505,3 @@ def _psd_root(s: np.ndarray, inverse: bool) -> np.ndarray:
     h = eigs[0][0].size
     roots = [(v * part) @ v.T for (_, v), part in zip(eigs, (f[:h], f[h:]))]
     return _whole(*roots) if split else roots[0]
-
-
-@functools.cache
-def _openblas() -> tuple:
-    """numpy's bundled OpenBLAS thread-count getter and setter, or a None getter and a no-op."""
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)     # finds symbols of the BLAS it links too
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return (lambda: None), (lambda threads: None)
-    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-    return get, put
-
-
-def blas_threads() -> int | None:
-    """The thread count numpy's bundled OpenBLAS runs with; None without it."""
-    return _openblas()[0]()
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """BLAS on one thread, the caller's count restored on exit or exception: a with-block or,
-    called, a decorator.  Process-global: other Python threads see one BLAS thread meanwhile,
-    and scopes from several at once are not supported.  A no-op without bundled OpenBLAS."""
-    get, put = _openblas()
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)

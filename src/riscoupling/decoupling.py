@@ -6,7 +6,7 @@ solution carries over.  The decoupled model is itself an ImpedanceChannel,
 with Z_R = R I and whitened RIS-side blocks (effective_channel), so
 evaluate_channel serves it at the transformed loads x'.  For SISO links the
 optimal loading then follows from phase alignment in closed form, which is
-what makes the array-gain analysis analytic.
+what makes the array-gain analysis analytic; it needs only the whitened links.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import numpy as np
 from .channel import (
     PI_DEAD_ZONE,
     X_MAX,
-    ArrayFactors,
     ImpedanceChannel,
     RisState,
     Scenario,
+    _real,
     _symmetric,
     build_los_scenario,
     checked_inverse,
@@ -110,7 +110,7 @@ def transformed_load(net: DecouplingNetwork, state: RisState) -> np.ndarray:
 
 def reactance_transform(x: np.ndarray, R: float) -> np.ndarray:
     """x' = -R^2 / x, the load the network presents for each element reactance."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "reactances")
     if not np.isfinite(x).all():
         raise InvalidArgumentError("reactances must be finite")
     zeros = np.flatnonzero(x == 0.0)
@@ -123,13 +123,26 @@ def effective_channel(ch: ImpedanceChannel) -> ImpedanceChannel:
     """Decoupled model of ch: Z_R = R I, blocks Z_DR W and W Z_RS with W = sqrt(R) Re(Z_R)^{-1/2}.
 
     At loads x' = reactance_transform(x, R) it gives the channel of ch behind
-    its power-matching network at loads x.  Re(Z_R)^{-1/2} is read from the
-    factors a LOS channel carries; a channel without them whitens its Z_R.
+    its power-matching network at loads x.
     """
+    return ImpedanceChannel(ch.z_ds, *_whitened(ch), ch.R * np.eye(ch.n), ch.R)
+
+
+def _whitened(ch: ImpedanceChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Z_DR W and W Z_RS, W from a LOS channel's factors, else by whitening ch's own Z_R."""
     inv_sq = psd_inv_sqrt(ch.z_r.real) if ch.factors is None else ch.factors.re_inv_sqrt
     root_r = math.sqrt(ch.R)
-    return ImpedanceChannel(ch.z_ds, ch.z_dr @ inv_sq * root_r, root_r * inv_sq @ ch.z_rs,
-                            ch.R * np.eye(ch.n), ch.R)
+    return ch.z_dr @ inv_sq * root_r, root_r * inv_sq @ ch.z_rs
+
+
+def _decoupled_siso(ch: ImpedanceChannel) -> tuple[complex, np.ndarray]:
+    """effective_channel(ch)'s SISO terms from its whitened links alone: the direct
+    term z_DS - sum(prod)/(2R) and the reflected products prod = (Z_DR W) o (W Z_RS)."""
+    if ch.z_ds.shape != (1, 1):
+        raise InvalidArgumentError("the decoupled closed forms require K = M = 1")
+    z_dr, z_rs = _whitened(ch)
+    prod = z_dr[0, :] * z_rs[:, 0]
+    return complex(ch.z_ds[0, 0]) - prod.sum() / (2.0 * ch.R), prod
 
 
 def theta_to_reactance(theta: np.ndarray, R: float) -> np.ndarray:
@@ -148,7 +161,7 @@ def theta_to_reactance(theta: np.ndarray, R: float) -> np.ndarray:
 
 def reactance_to_theta(x: np.ndarray, R: float) -> np.ndarray:
     """Reflection coefficients theta = (j x - R)/(j x + R) of reactive loads."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "reactances")
     return (1j * x - R) / (1j * x + R)
 
 
@@ -160,27 +173,22 @@ def closed_form_siso(ch: ImpedanceChannel) -> SisoSolution:
     z_DS - (1/2R) z_DR'^T z_RS' (reference phase 0 when that term vanishes).
     SisoSolution.x holds the loads x' of that model.
     """
-    if ch.z_ds.shape != (1, 1):
-        raise InvalidArgumentError("closed_form_siso requires K = M = 1")
-    eff = effective_channel(ch)
-    prod = eff.z_dr[0, :] * eff.z_rs[:, 0]
-    direct = complex(eff.z_ds[0, 0]) - prod.sum() / (2.0 * eff.R)
-    amp = abs(direct) + np.abs(prod).sum() / (2.0 * eff.R)
+    direct, prod = _decoupled_siso(ch)
+    amp = abs(direct) + np.abs(prod).sum() / (2.0 * ch.R)
     ref = np.angle(direct) if direct != 0 else 0.0
     theta = np.exp(1j * (ref - np.angle(prod)))
-    return SisoSolution(gain=float(amp**2), theta=theta, x=theta_to_reactance(theta, eff.R))
+    return SisoSolution(gain=float(amp**2), theta=theta, x=theta_to_reactance(theta, ch.R))
 
 
-def array_gain(s: Scenario, factors: ArrayFactors | None = None) -> float:
+def array_gain(s: Scenario) -> float:
     """Decoupled channel gain of the LOS scenario, normalized by the single-element gain.
 
     A = 1/4 (|a_DR^T C^{-1} a_RS| + sum_n |a_DR^T C^{-1/2} e_n| |e_n^T C^{-1/2} a_RS|)^2
-    with C = Re(Z_R)/R (+ gamma I under Ohmic loss).  factors, if given, must
-    be those of the scenario's array; all scenarios of that array share them.
+    with C = Re(Z_R)/R (+ gamma I under Ohmic loss), its factors shared by the array's scenarios.
     """
     if s.spacing < MIN_SPACING:
         raise InvalidArgumentError(
             f"spacing {s.spacing} below {MIN_SPACING}: coupling matrix too ill-conditioned "
             "(closed_form_siso does not check)"
         )
-    return closed_form_siso(build_los_scenario(s, factors)).gain / single_element_gain(s)
+    return closed_form_siso(build_los_scenario(s)).gain / single_element_gain(s)

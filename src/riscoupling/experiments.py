@@ -4,8 +4,9 @@ A sweep spec is the Cartesian product of its axes (N, spacing, gamma_loss,
 angle pairs); every (scenario, method) pair yields one record, iterative
 methods one record per sweep.  Scenarios run array by array, the angle pairs
 innermost, so that each array's impedance matrix Z_R is built once per sweep
-and shared, with its O(N^3) factorisations, by its angle pairs.  Records are
-sorted, which fixes the order of the CSV rows.
+and shared, with its O(N^3) factorisations, by its angle pairs: each row finds
+them from its scenario (build_los_scenario).  Records are sorted, which fixes
+the order of the CSV rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
-from itertools import groupby
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .baselines import (
     naive_elementwise,
     no_coupling_gain,
 )
-from .channel import (ArrayFactors, RisState, Scenario, build_los_scenario, one_blas_thread,
-                      single_element_gain)
+from .channel import RisState, Scenario, build_los_scenario, one_blas_thread, single_element_gain
 from .decoupling import array_gain
 from .elementwise import OptimizerConfig, optimize
 from .errors import InvalidArgumentError, RisCouplingError
@@ -190,22 +189,22 @@ def parse_config(text: str) -> SweepSpec:
     return SweepSpec(**values)
 
 
-def _run_method(spec: SweepSpec, s: Scenario, method: MethodId, trace_elements: bool,
-                factors: ArrayFactors) -> list[SweepRecord]:
+def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
+                trace_elements: bool) -> list[SweepRecord]:
     t0 = time.perf_counter()
     flags, per_sweep = (), False
     try:
         if method is MethodId.DECOUPLED:
-            gains = [array_gain(s, factors)]
+            gains = [array_gain(s)]
         elif method is MethodId.NO_COUPLING:
             gains = [no_coupling_gain(s)]
         elif method is MethodId.IGNORE_MC:
-            gains = [ignore_mc_gain(s, factors)]
+            gains = [ignore_mc_gain(s)]
         elif method is MethodId.GRID_ORACLE:
-            gains = [grid_search_phase(build_los_scenario(s, factors)) / single_element_gain(s)]
+            gains = [grid_search_phase(build_los_scenario(s)) / single_element_gain(s)]
         else:
             runner = optimize if method is MethodId.ELEMENT_WISE else naive_elementwise
-            res = runner(build_los_scenario(s, factors), RisState.zeros(s.n),
+            res = runner(build_los_scenario(s), RisState.zeros(s.n),
                          spec.optimizer_config())
             flags = ("saturation",) if res.saturation_events else ()
             flags += () if res.converged else ("not_converged",)
@@ -223,23 +222,14 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId, trace_elements: 
             for i, g in enumerate(gains)]
 
 
-def _run_array(spec: SweepSpec, array: list[Scenario], trace_elements: bool) -> list[SweepRecord]:
-    """Every (scenario, method) pair of one array's scenarios.  They share one
-    ArrayFactors: its Z_R, built before the first row and passed to every row,
-    and its factorisations.  It is freed on return, before the next array's."""
-    factors = ArrayFactors(array[0])
-    return [r for s in array for m in spec.methods
-            for r in _run_method(spec, s, m, trace_elements, factors)]
-
-
 @one_blas_thread()
 def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord]:
     """Execute every (scenario, method) pair in turn, array by array; records
-    are sorted to fix the CSV order.  Nothing outlives its array or the call.
-    BLAS runs on one thread (one_blas_thread), whatever the caller's count."""
-    records = []
-    for _, array in groupby(spec.scenarios(), key=lambda s: s.array):
-        records += _run_array(spec, list(array), trace_elements)
+    are sorted to fix the CSV order.  Only the last array's factors outlive the
+    call (build_los_scenario).  BLAS runs on one thread (one_blas_thread),
+    whatever the caller's count."""
+    records = [r for s in spec.scenarios() for m in spec.methods
+               for r in _run_method(spec, s, m, trace_elements)]
     records.sort(key=SweepRecord.sort_key)
     return records
 

@@ -8,8 +8,9 @@ names it and the caller's thread count; sweeps set their own (one_blas_thread).
 import os
 
 import numpy as np
+import pytest
 
-from riscoupling import ImpedanceChannel, Scenario, build_coupling_matrix
+from riscoupling import ArrayFactors, ImpedanceChannel, Scenario, build_coupling_matrix
 from riscoupling.channel import blas_threads
 
 # Draw 40 of the acceptance fixture: coordinate ascent alone needs about 3800
@@ -18,6 +19,13 @@ from riscoupling.channel import blas_threads
 SLOW_RIDGE = Scenario(n=5, spacing=0.16340238753657976, alpha_tx=0.3288973559887411,
                       alpha_rx=0.6262066822143726, gamma_dr=0.6984385854177759,
                       gamma_rs=0.8436008778516497)
+
+
+@pytest.fixture(autouse=True)
+def empty_factors_slot():
+    """Each test starts with no array's factors kept, so counts of factorisations
+    and traced calls do not depend on the test run before it."""
+    ArrayFactors._last = None
 
 
 def end_fire(n, spacing, gamma_loss=0.0):

@@ -12,10 +12,12 @@ from riscoupling import (
     ImpedanceChannel,
     RisState,
     Scenario,
+    array_gain,
     build_coupling_matrix,
     build_los_scenario,
     channel_gain,
     evaluate_channel,
+    ignore_mc_gain,
     power_matching_network,
     spectral_efficiency,
     steering_vector,
@@ -34,7 +36,7 @@ from riscoupling.errors import (
     NumericallySingularError,
 )
 
-from conftest import random_channel
+from conftest import front_fire, random_channel
 
 
 class TestCouplingMatrix:
@@ -505,9 +507,9 @@ class TestZrCheckedOnce:
     def test_los_channel_on_factors_skips_the_check(self, monkeypatch, gamma):
         calls = self.count_symmetric(monkeypatch)
         s = Scenario(n=6, spacing=0.25, alpha_tx=0.3, alpha_rx=2.0, gamma_loss=gamma)
-        factors = ArrayFactors(s)
+        factors = build_los_scenario(s).factors
         assert calls == [(6, 6)]
-        los = build_los_scenario(s, factors)
+        los = build_los_scenario(s)
         assert calls == [(6, 6)] and los.z_r is factors.z_r and los.factors is factors
         hand = ImpedanceChannel(los.z_ds, los.z_dr, los.z_rs, np.array(factors.z_r), s.R)
         assert calls == [(6, 6), (6, 6)]
@@ -700,4 +702,20 @@ class TestOneBlasThread:
         spec = parse_config("N = 128\nspacing = 0.25\nangles = end-fire\nmethods = IgnoreMC\n")
         at_two = run_sweep(spec)[0].array_gain
         channel_module._openblas()[1](1)
+        ArrayFactors._last = None           # or the second sweep reads the first one's factors
         assert run_sweep(spec)[0].array_gain == at_two
+
+    def test_direct_closed_forms_do_not_depend_on_the_callers_count(self, caller_at_two):
+        # ignore_mc_gain rounds differently on 2 threads than on 1 when its
+        # factorisation runs on the caller's count
+        s = front_fire(256, 0.5)
+        at_two = (ignore_mc_gain(s), array_gain(s))
+        assert caller_at_two() == 2
+        channel_module._openblas()[1](1)
+        ArrayFactors._last = None
+        assert (ignore_mc_gain(s), array_gain(s)) == at_two
+        ArrayFactors._last = None
+        spec = parse_config("N = 256\nspacing = 0.5\nangles = front-fire\n"
+                            "methods = IgnoreMC, Decoupled\n")
+        rows = {r.method: r.array_gain for r in run_sweep(spec)}
+        assert (rows["IgnoreMC"], rows["Decoupled"]) == at_two

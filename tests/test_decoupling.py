@@ -159,6 +159,36 @@ class TestReactanceTransform:
             reactance_transform(np.array(x), 50.0)
 
 
+# each takes element reactances; numpy alone would drop an imaginary part
+# with no more than a ComplexWarning
+REACTANCE_TAKERS = {
+    "RisState": lambda x: RisState(x).x,
+    "reactance_transform": lambda x: reactance_transform(x, 50.0),
+    "reactance_to_theta": lambda x: reactance_to_theta(x, 50.0),
+}
+
+
+class TestReactancesAreReal:
+    @pytest.mark.parametrize("name", REACTANCE_TAKERS)
+    @pytest.mark.parametrize("x", [np.array([1.0 + 2.0j, 3.0]), [3.0, 1e-300j],
+                                   np.array([1.0, 3.0 + np.nan * 1j])])
+    def test_nonzero_imaginary_part_refused(self, name, x):
+        with pytest.raises(InvalidArgumentError, match="reactances must be real"):
+            REACTANCE_TAKERS[name](x)
+
+    @pytest.mark.parametrize("name", REACTANCE_TAKERS)
+    def test_zero_imaginary_part_taken_as_real(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = REACTANCE_TAKERS[name](np.array([1.0 + 0.0j, -3.0 - 0.0j]))
+        assert got.tobytes() == REACTANCE_TAKERS[name](np.array([1.0, -3.0])).tobytes()
+
+    def test_one_check_for_reactances_and_matrices(self):
+        with pytest.raises(InvalidArgumentError, match="matrix must be real"):
+            channel.psd_inv_sqrt(np.eye(2) + 1e-3j)
+        assert channel.psd_sqrt(np.eye(2) + 0j).tobytes() == channel.psd_sqrt(np.eye(2)).tobytes()
+
+
 class TestEffectiveChannel:
     def test_identity_coupling_is_noop(self):
         rng = np.random.default_rng(31)
@@ -451,3 +481,23 @@ class TestLayering:
                     continue
                 importers += [path.name for m in modules if m.split(".")[0] == "ctypes"]
         assert importers == ["channel.py"]
+
+    def test_every_imported_name_is_used(self):
+        """No package module (but __init__, which re-exports) imports a name it
+        never reads; the project runs no linter that would say so."""
+        unused = []
+        for path in sorted(Path(channel.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                    for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                       if name not in read]
+        assert unused == []

@@ -1,6 +1,9 @@
 import importlib
 import inspect
 import pkgutil
+import sys
+import threading
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from riscoupling.experiments import (
     write_csv,
 )
 
-from conftest import SLOW_RIDGE, end_fire
+from conftest import SLOW_RIDGE, end_fire, front_fire
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,8 +214,8 @@ class TestArraySharing:
             built.append(_original(n, spacing, R))
             return built[-1]
 
-        def recorded(s, factors=None, _original=build_los_scenario):
-            channels.append((s, _original(s, factors)))
+        def recorded(s, _original=build_los_scenario):
+            channels.append((s, _original(s)))
             return channels[-1][1]
         monkeypatch.setattr(channel_module, "build_coupling_matrix", counted)
         for module in (decoupling, baselines):
@@ -243,9 +246,10 @@ class TestArraySharing:
     def test_rows_equal_standalone_gains(self, monkeypatch):
         seen = []
         for name, gain in (("array_gain", array_gain), ("ignore_mc_gain", ignore_mc_gain)):
-            def recorded(s, factors, _gain=gain):
-                seen.append((s, factors))
-                return _gain(s, factors)
+            def recorded(s, _gain=gain):
+                gain = _gain(s)
+                seen.append((s, ArrayFactors._last))        # the factors the row read
+                return gain
             monkeypatch.setattr(experiments, name, recorded)
         records = run_sweep(parse_config(SHARED_ARRAYS))
         for r in records:
@@ -254,7 +258,7 @@ class TestArraySharing:
             standalone = array_gain(s) if r.method == "Decoupled" else ignore_mc_gain(s)
             assert r.array_gain == standalone
             assert r.flags == ()
-        # one factors object per array, passed to every row of it, its factors read-only
+        # one factors object per array, read by every row of it, its factors read-only
         by_array = {}
         for s, factors in seen:
             by_array.setdefault((s.spacing, s.gamma_loss), set()).add(id(factors))
@@ -309,55 +313,134 @@ class TestArraySharing:
         assert calls.count("inverse") == calls.count("inv_sqrt") == 4 + 12
 
 
-# each takes a scenario and the factors given for it; the functions of a
-# channel take its factors only as the LOS channel carries them
+# each takes a scenario and finds its array's factors; the functions of a
+# channel take them only as the LOS channel carries them
 FACTOR_USERS = {
     "array_gain": array_gain,
     "ignore_mc_gain": ignore_mc_gain,
     "build_los_scenario": build_los_scenario,
-    "effective_channel": lambda s, f: effective_channel(build_los_scenario(s, f)),
-    "closed_form_siso": lambda s, f: closed_form_siso(build_los_scenario(s, f)),
+    "effective_channel": lambda s: effective_channel(build_los_scenario(s)),
+    "closed_form_siso": lambda s: closed_form_siso(build_los_scenario(s)),
 }
 
 
+def from_an_empty_slot(user, s):
+    """repr(user(s)) with no array's factors kept beforehand."""
+    ArrayFactors._last = None
+    return repr(user(s))
+
+
 class TestFactorsOfAnotherArray:
-    """Factors are refused for a scenario of another array, where they would
-    give another array's gains (33.9 for 3832.4 in array_gain).
-    build_los_scenario refuses them, for its callers and for the functions
-    of the channel it makes."""
+    """The factors build_los_scenario keeps for the last array asked for are
+    refused for a scenario of another array, where they would give another
+    array's gains (33.9 for 3832.4 in array_gain): the scenario gets its own
+    array's, as from an empty slot, for the callers of build_los_scenario and
+    for the functions of the channel it makes."""
 
     @pytest.mark.parametrize("name", FACTOR_USERS)
     @pytest.mark.parametrize("other", [end_fire(8, 0.25), end_fire(4, 0.1),
                                        Scenario(n=8, spacing=0.1, alpha_tx=0.0, alpha_rx=np.pi,
                                                 gamma_loss=0.1)])
     def test_refused(self, name, other):
-        factors = ArrayFactors(other)
-        factors.inverse, factors.re_inv_sqrt
-        with pytest.raises(InvalidArgumentError, match="factors of array"):
-            FACTOR_USERS[name](end_fire(8, 0.1), factors)
+        kept = build_los_scenario(other).factors
+        kept.inverse, kept.re_inv_sqrt
+        s = end_fire(8, 0.1)
+        got = repr(FACTOR_USERS[name](s))
+        assert ArrayFactors._last is not kept and ArrayFactors._last.array == s.array
+        assert got == from_an_empty_slot(FACTOR_USERS[name], s)
 
     @pytest.mark.parametrize("name", FACTOR_USERS)
     def test_accepted_for_any_angles_of_the_array(self, name):
         s = end_fire(8, 0.1)
-        factors = ArrayFactors(Scenario(n=8, spacing=0.1, alpha_tx=1.0, alpha_rx=0.3))
-        assert repr(FACTOR_USERS[name](s, factors)) == repr(FACTOR_USERS[name](s, None))
+        kept = build_los_scenario(Scenario(n=8, spacing=0.1, alpha_tx=1.0, alpha_rx=0.3)).factors
+        got = repr(FACTOR_USERS[name](s))
+        assert ArrayFactors._last is kept
+        assert got == from_an_empty_slot(FACTOR_USERS[name], s)
 
     def test_array_gain_values(self):
         s = end_fire(8, 0.1)
-        assert array_gain(s, ArrayFactors(s)) == array_gain(s) == pytest.approx(3832.4, rel=1e-4)
-        assert ignore_mc_gain(s, ArrayFactors(s)) == pytest.approx(8.32, rel=1e-3)
+        assert array_gain(s) == array_gain(s) == pytest.approx(3832.4, rel=1e-4)
+        assert ignore_mc_gain(s) == pytest.approx(8.32, rel=1e-3)
 
 
 class TestChannelCarriesFactors:
-    """A LOS channel carries its array's factors, and the functions of a
-    channel read them there."""
+    """A LOS channel carries its array's factors, which build_los_scenario
+    keeps until another array is asked for, and the functions of a channel
+    read them there."""
 
     def test_los_channel_carries_the_factors_given(self):
         s = end_fire(8, 0.1)
-        factors = ArrayFactors(s)
-        assert build_los_scenario(s, factors).factors is factors
-        own = build_los_scenario(s).factors
-        assert own is not factors and own.array == s.array
+        factors = ArrayFactors._last = ArrayFactors(s)
+        assert build_los_scenario(s).factors is factors
+        other = end_fire(8, 0.25)
+        own = build_los_scenario(other).factors
+        assert own is not factors and own.array == other.array
+
+    def test_scenarios_of_one_array_share_one_factors_object(self):
+        channels = [build_los_scenario(Scenario(n=6, spacing=0.2, alpha_tx=a, alpha_rx=b,
+                                                gamma_dr=g, gamma_rs=1.0 / g, gamma_loss=0.1))
+                    for a, b in [(0.0, np.pi), (0.4, 1.9), (np.pi / 2, 0.0)] for g in (0.5, 1.0)]
+        assert len({id(ch.factors) for ch in channels}) == 1
+        assert all(ch.z_r is channels[0].factors.z_r for ch in channels)
+        assert ArrayFactors._last is channels[0].factors
+
+    def test_arrays_asked_for_in_turn_get_their_own_factors(self, monkeypatch):
+        a, b = end_fire(8, 0.1), front_fire(6, 0.25, gamma_loss=0.1)
+
+        def bits(s):
+            factors = build_los_scenario(s).factors
+            return (array_gain(s), ignore_mc_gain(s), factors.z_r.tobytes(),
+                    factors.inverse.tobytes(), factors.re_inv_sqrt.tobytes())
+        fresh = {s: from_an_empty_slot(bits, s) for s in (a, b)}
+        ArrayFactors._last = None
+        released, alive_at_build = [], []
+
+        def build(*args, _original=channel_module.build_coupling_matrix):
+            alive_at_build.append([r() is not None for r in released])
+            return _original(*args)
+        monkeypatch.setattr(channel_module, "build_coupling_matrix", build)
+        for s in (a, b, a):
+            assert repr(bits(s)) == fresh[s]
+            factors = ArrayFactors._last
+            assert factors.array == s.array
+            released.append(weakref.ref(factors))
+            del factors
+        # each array's factors were dropped when the next array was asked for,
+        # before the next array's Z_R was built
+        assert alive_at_build == [[], [False], [False, False]]
+        assert released[0]() is None and released[1]() is None
+        assert released[2]() is ArrayFactors._last
+
+    def test_threads_alternating_arrays_get_their_own_factors(self):
+        arrays = [end_fire(5, 0.25), front_fire(6, 0.3), end_fire(5, 0.25, gamma_loss=0.1)]
+        want = {s: from_an_empty_slot(array_gain, s) for s in arrays}
+        wrong, start = [], threading.Barrier(4)
+
+        def ask(offset):
+            start.wait(timeout=60)
+            for i in range(300):
+                s = arrays[(i + offset) % len(arrays)]
+                try:
+                    if (build_los_scenario(s).factors.array != s.array
+                            or repr(array_gain(s)) != want[s]):
+                        wrong.append((offset, i))
+                except Exception as exc:    # as another array's factors would raise
+                    wrong.append((offset, i, exc))
+
+        get, put = channel_module._openblas()
+        threads, interval = get(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            put(threads)        # the factorisations' BLAS scopes overlapped across threads
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
 
     def test_closed_form_reuses_the_whitening(self, monkeypatch):
         calls = []
@@ -367,12 +450,11 @@ class TestChannelCarriesFactors:
             return _original(z)
         monkeypatch.setattr(channel_module, "psd_inv_sqrt", counted)
         monkeypatch.setattr(decoupling, "psd_inv_sqrt", counted)
-        factors = ArrayFactors(end_fire(8, 0.1))
-        factors.re_inv_sqrt
+        build_los_scenario(end_fire(8, 0.1)).factors.re_inv_sqrt
         assert calls == [(8, 8)]
         for alpha in (0.0, 0.7, np.pi / 2):
             s = Scenario(n=8, spacing=0.1, alpha_tx=alpha, alpha_rx=np.pi - alpha)
-            closed_form_siso(build_los_scenario(s, factors))
+            closed_form_siso(build_los_scenario(s))
         assert calls == [(8, 8)]
 
     @pytest.mark.parametrize("s", [end_fire(8, 0.1), end_fire(5, 0.3, gamma_loss=0.1)])
@@ -385,7 +467,7 @@ class TestChannelCarriesFactors:
         assert got.theta.tobytes() == want.theta.tobytes()
         assert got.x.tobytes() == want.x.tobytes()
 
-    def test_only_the_scenario_builders_take_factors(self):
+    def test_no_public_callable_takes_factors(self):
         seen, takes = set(), set()
         for info in pkgutil.iter_modules(riscoupling.__path__):
             module = importlib.import_module(f"riscoupling.{info.name}")
@@ -397,8 +479,9 @@ class TestChannelCarriesFactors:
                 seen.add(name)
                 if "factors" in inspect.signature(obj).parameters:
                     takes.add(name)
-        assert {"ImpedanceChannel", "effective_channel", "closed_form_siso"} <= seen
-        assert takes == {"build_los_scenario", "array_gain", "ignore_mc_gain"}
+        assert {"ImpedanceChannel", "ArrayFactors", "build_los_scenario", "array_gain",
+                "ignore_mc_gain", "effective_channel", "closed_form_siso"} <= seen
+        assert takes == set()
 
 
 def strip_wall_time(text: str) -> list[str]:
