@@ -7,15 +7,7 @@ import enum
 
 import numpy as np
 
-from .channel import (
-    ImpedanceChannel,
-    RisState,
-    Scenario,
-    build_los_scenario,
-    channel_gain,
-    single_element_gain,
-    steering_vector,
-)
+from .channel import ArrayFactors, ImpedanceChannel, RisState, Scenario, steering_vector
 from .elementwise import (
     OptimizeResult,
     OptimizerConfig,
@@ -79,12 +71,9 @@ def no_coupling_gain(s: Scenario) -> float:
 
 
 def ignore_mc_gain(s: Scenario) -> float:
-    """Array gain when the no-coupling solution (x = 0, i.e. Theta' = -I) is
-    applied blindly to the true coupled channel.
-
-    At x = 0 the loading matrix is Z_R itself: its inverse is read from the
-    factors the LOS channel carries.
-    """
-    ch = build_los_scenario(s)
-    z = ch.z_ds - ch.z_dr @ ch.factors.inverse @ ch.z_rs
-    return channel_gain(z) / single_element_gain(s)
+    """Array gain when the no-coupling solution (x = 0, i.e. Theta' = -I) is applied blindly
+    to the true coupled channel: |R a_DR^T Z_R^{-1} a_RS|^2, Z_R being the loading matrix at
+    x = 0, its inverse read from the array's factors (ArrayFactors.of)."""
+    a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
+    a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
+    return float(abs(s.R * (a_dr @ ArrayFactors.of(s).inverse @ a_rs))) ** 2

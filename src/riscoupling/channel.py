@@ -12,7 +12,8 @@ import ctypes
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.linalg._umath_linalg as _umath_linalg
@@ -152,8 +153,6 @@ class ImpedanceChannel:
     z_r is stored as given, one within 1e-9 max(|z_r|, 1) of symmetric as
     its symmetric part (z_r + z_r^T)/2, and any other is refused.  The
     optimizer's rank-one updates rely on z_r^T = z_r holding exactly.
-    factors, not an argument, is z_r's ArrayFactors on a LOS channel: that
-    z_r was checked once, when ArrayFactors built it, and is not checked again.
     """
 
     z_ds: np.ndarray
@@ -161,9 +160,8 @@ class ImpedanceChannel:
     z_rs: np.ndarray
     z_r: np.ndarray
     R: float
-    factors: ArrayFactors | None = field(init=False, default=None, repr=False, compare=False)
 
-    def __post_init__(self, factors: ArrayFactors | None = None):
+    def __post_init__(self):
         z_ds = np.atleast_2d(np.asarray(self.z_ds, dtype=complex))
         z_dr = np.atleast_2d(np.asarray(self.z_dr, dtype=complex))
         z_rs = np.atleast_2d(np.asarray(self.z_rs, dtype=complex))
@@ -183,20 +181,7 @@ class ImpedanceChannel:
             if not np.all(np.isfinite(block)):
                 raise InvalidArgumentError(f"{name} must be finite")
             object.__setattr__(self, name, block)
-        if factors is None:
-            object.__setattr__(self, "z_r", _checked_z_r(z_r))
-        else:
-            object.__setattr__(self, "factors", factors)
-
-    @classmethod
-    def _on_array(cls, factors: ArrayFactors, z_ds, z_dr, z_rs, R: float) -> ImpedanceChannel:
-        """The channel on factors' checked z_r: build_los_scenario's construction path."""
-        ch = cls.__new__(cls)
-        for name, value in zip(("z_ds", "z_dr", "z_rs", "z_r", "R"),
-                               (z_ds, z_dr, z_rs, factors.z_r, R)):
-            object.__setattr__(ch, name, value)
-        ch.__post_init__(factors)
-        return ch
+        object.__setattr__(self, "z_r", _checked_z_r(z_r))
 
     @property
     def n(self) -> int:
@@ -239,19 +224,14 @@ def build_los_scenario(s: Scenario) -> ImpedanceChannel:
     """Construct the SISO LOS impedance channel of the line scenario.
 
     The direct link is blocked (z_ds = 0); RIS-side links are pathloss-scaled
-    steering vectors times R.  Z_R, Ohmic loss included, is read-only and comes
-    with its factors from the ArrayFactors of the last array asked for, which
-    are dropped before another array's are built; one array's channels share them.
+    steering vectors times R.  Z_R, Ohmic loss included, is the read-only Z_R of
+    ArrayFactors.of(s), which one array's channels share, and is checked as any Z_R is.
     """
-    factors = ArrayFactors._last
-    if factors is None or factors.array != s.array:
-        factors = ArrayFactors._last = None     # the old array's go before the new are built
-        factors = ArrayFactors._last = ArrayFactors(s)
     a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
     a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
     z_dr = np.sqrt(s.gamma_dr) * s.R * a_dr[None, :]
     z_rs = np.sqrt(s.gamma_rs) * s.R * a_rs[:, None]
-    return ImpedanceChannel._on_array(factors, np.zeros((1, 1)), z_dr, z_rs, s.R)
+    return ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, ArrayFactors.of(s).z_r, s.R)
 
 
 def loading_matrix(z_r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -366,11 +346,6 @@ def eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
-    """End-to-end impedance channel Z = Z_DS - Z_DR (Z_R + j diag(x))^{-1} Z_RS."""
-    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch.z_r, state.x))[0] @ ch.z_rs
-
-
 @functools.cache
 def _openblas() -> tuple:
     """numpy's bundled OpenBLAS thread-count getter and setter, or a None getter and a no-op."""
@@ -388,18 +363,38 @@ def blas_threads() -> int | None:
     return _openblas()[0]()
 
 
+# one_blas_thread's open scopes, in all Python threads, and the count the first one found
+_scope_lock = threading.Lock()
+_scopes_open = 0
+_callers_threads = None
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """BLAS on one thread, the caller's count restored on exit or exception: a with-block or,
-    called, a decorator.  Process-global: other Python threads see one BLAS thread meanwhile,
-    and scopes from several at once are not supported.  A no-op without bundled OpenBLAS."""
+    called, a decorator.  Process-global, so scopes nest and overlap across Python threads: the
+    first to open saves the caller's count, the last to close restores it.  A no-op without
+    bundled OpenBLAS."""
+    global _scopes_open, _callers_threads
     get, put = _openblas()
-    threads = get()
-    put(1)
+    with _scope_lock:
+        if not _scopes_open:
+            _callers_threads = get()
+            put(1)
+        _scopes_open += 1
     try:
         yield
     finally:
-        put(threads)
+        with _scope_lock:
+            _scopes_open -= 1
+            if not _scopes_open:
+                put(_callers_threads)
+
+
+@one_blas_thread()
+def evaluate_channel(ch: ImpedanceChannel, state: RisState) -> np.ndarray:
+    """End-to-end channel Z = Z_DS - Z_DR (Z_R + j diag(x))^{-1} Z_RS, on one BLAS thread."""
+    return ch.z_ds - ch.z_dr @ checked_inverse(loading_matrix(ch.z_r, state.x))[0] @ ch.z_rs
 
 
 class ArrayFactors:
@@ -407,16 +402,15 @@ class ArrayFactors:
 
     Made for the array of a scenario (its N, spacing, gamma_loss and R, not
     its angles), it builds that array's Z_R once, Ohmic loss included: R*gamma
-    on the real diagonal, and checks it there, once: the LOS channels built on
-    it do not check it again.  Each factorisation is made on its first read,
-    on one BLAS thread whatever the caller's count, and kept; one that raises
-    is not kept.  Z_R and the factors are read-only, so the LOS channels of one
-    array share one instance (_last).  Z_R is symmetric Toeplitz, so
-    centrosymmetric: both factorisations work on its two half-size blocks
+    on the real diagonal, and checks it.  Each factorisation is made on its
+    first read, on one BLAS thread whatever the caller's count, and kept; one
+    that raises is not kept.  Z_R and the factors are read-only, so the
+    scenarios of one array share one instance (of).  Z_R is symmetric Toeplitz,
+    so centrosymmetric: both factorisations work on its two half-size blocks
     (_halves), at about a quarter of the dense flops.
     """
 
-    _last = None        # build_los_scenario's one-slot memo: the last array's ArrayFactors
+    _last = None        # of's one-slot memo: the last array's ArrayFactors
 
     def __init__(self, s: Scenario):
         self.array = s.array
@@ -424,6 +418,16 @@ class ArrayFactors:
         if s.gamma_loss > 0:
             z_r.flat[::s.n + 1] += s.gamma_loss * s.R
         self.z_r = _read_only(_checked_z_r(z_r))
+
+    @classmethod
+    def of(cls, s: Scenario) -> ArrayFactors:
+        """s's array's ArrayFactors: the last array's if it is s's, else new ones, built once
+        the last array's are dropped."""
+        factors = cls._last
+        if factors is None or factors.array != s.array:
+            factors = cls._last = None      # the old array's go before the new are built
+            factors = cls._last = cls(s)
+        return factors
 
     @functools.cached_property
     @one_blas_thread()
@@ -434,7 +438,6 @@ class ArrayFactors:
         return _read_only(_inverse_by_halves(self.z_r))
 
     @functools.cached_property
-    @one_blas_thread()
     def re_inv_sqrt(self) -> np.ndarray:
         """psd_inv_sqrt(Re Z_R), the whitening of the power-matching network."""
         return _read_only(psd_inv_sqrt(self.z_r.real))
@@ -486,6 +489,7 @@ def psd_inv_sqrt(s: np.ndarray) -> np.ndarray:
 
 # A non-finite s reaches eigh, which refuses it, without the warnings of inf - inf.
 @np.errstate(all="ignore")
+@one_blas_thread()
 def _psd_root(s: np.ndarray, inverse: bool) -> np.ndarray:
     s = _real(s, "matrix")
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:

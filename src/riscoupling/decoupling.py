@@ -20,17 +20,17 @@ import numpy as np
 from .channel import (
     PI_DEAD_ZONE,
     X_MAX,
+    ArrayFactors,
     ImpedanceChannel,
     RisState,
     Scenario,
     _real,
     _symmetric,
-    build_los_scenario,
     checked_inverse,
     loading_matrix,
     psd_inv_sqrt,
     psd_sqrt,
-    single_element_gain,
+    steering_vector,
 )
 from .errors import InvalidArgumentError, NumericallySingularError
 
@@ -129,8 +129,8 @@ def effective_channel(ch: ImpedanceChannel) -> ImpedanceChannel:
 
 
 def _whitened(ch: ImpedanceChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Z_DR W and W Z_RS, W from a LOS channel's factors, else by whitening ch's own Z_R."""
-    inv_sq = psd_inv_sqrt(ch.z_r.real) if ch.factors is None else ch.factors.re_inv_sqrt
+    """Z_DR W and W Z_RS, W = sqrt(R) Re(Z_R)^{-1/2} of ch's own Z_R."""
+    inv_sq = psd_inv_sqrt(ch.z_r.real)
     root_r = math.sqrt(ch.R)
     return ch.z_dr @ inv_sq * root_r, root_r * inv_sq @ ch.z_rs
 
@@ -183,12 +183,17 @@ def closed_form_siso(ch: ImpedanceChannel) -> SisoSolution:
 def array_gain(s: Scenario) -> float:
     """Decoupled channel gain of the LOS scenario, normalized by the single-element gain.
 
-    A = 1/4 (|a_DR^T C^{-1} a_RS| + sum_n |a_DR^T C^{-1/2} e_n| |e_n^T C^{-1/2} a_RS|)^2
-    with C = Re(Z_R)/R (+ gamma I under Ohmic loss), its factors shared by the array's scenarios.
+    A = 1/4 (|sum_n p_n| + sum_n |p_n|)^2 with p = (a_DR^T C^{-1/2}) o (C^{-1/2} a_RS) and
+    C = Re(Z_R)/R (+ gamma I under Ohmic loss), closed_form_siso's gain normalized.  With
+    V = Re(Z_R)^{-1/2} from the array's factors (ArrayFactors.of), p = R (a_DR^T V) o (V a_RS).
     """
     if s.spacing < MIN_SPACING:
         raise InvalidArgumentError(
             f"spacing {s.spacing} below {MIN_SPACING}: coupling matrix too ill-conditioned "
             "(closed_form_siso does not check)"
         )
-    return closed_form_siso(build_los_scenario(s)).gain / single_element_gain(s)
+    v = ArrayFactors.of(s).re_inv_sqrt
+    a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
+    a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
+    p = (a_dr @ v) * (v @ a_rs) * s.R
+    return float(abs(p.sum()) + np.abs(p).sum()) ** 2 / 4.0

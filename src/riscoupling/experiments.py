@@ -4,9 +4,10 @@ A sweep spec is the Cartesian product of its axes (N, spacing, gamma_loss,
 angle pairs); every (scenario, method) pair yields one record, iterative
 methods one record per sweep.  Scenarios run array by array, the angle pairs
 innermost, so that each array's impedance matrix Z_R is built once per sweep
-and shared, with its O(N^3) factorisations, by its angle pairs: each row finds
-them from its scenario (build_los_scenario).  Records are sorted, which fixes
-the order of the CSV rows.
+and shared, with its O(N^3) factorisations, by its angle pairs (ArrayFactors.of):
+the closed-form rows read the factors and the steering vectors, building no
+channel, and the other rows' LOS channels share Z_R.  Records are sorted, which
+fixes the order of the CSV rows.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
 def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord]:
     """Execute every (scenario, method) pair in turn, array by array; records
     are sorted to fix the CSV order.  Only the last array's factors outlive the
-    call (build_los_scenario).  BLAS runs on one thread (one_blas_thread),
+    call (ArrayFactors.of).  BLAS runs on one thread (one_blas_thread),
     whatever the caller's count."""
     records = [r for s in spec.scenarios() for m in spec.methods
                for r in _run_method(spec, s, m, trace_elements)]

@@ -70,11 +70,12 @@ methods = Decoupled, IgnoreMC
     tracer.save(tmp_path / "spans.npz")
     spans = np.load(tmp_path / "spans.npz")
     calls = Counter(str(spans["names"][i]) for i in spans["name"])
-    # one array: its whitening is made once for the three Decoupled rows
+    # one array: its whitening is made once for the three Decoupled rows, and
+    # the closed forms read it and the inverse without building a channel
     assert calls["decoupling.array_gain"] == 3
     assert calls["baselines.ignore_mc_gain"] == 3
     assert calls["channel.psd_inv_sqrt"] == 1
-    assert calls["channel.build_los_scenario"] == 6
+    assert calls["channel.build_los_scenario"] == 0
 
 
 def test_optimize_feeds_the_per_update_metrics(tmp_path):

@@ -1,3 +1,4 @@
+import threading
 import types
 import warnings
 from pathlib import Path
@@ -16,7 +17,10 @@ from riscoupling import (
     build_coupling_matrix,
     build_los_scenario,
     channel_gain,
+    closed_form_siso,
+    effective_channel,
     evaluate_channel,
+    grid_search_phase,
     ignore_mc_gain,
     power_matching_network,
     spectral_efficiency,
@@ -36,7 +40,7 @@ from riscoupling.errors import (
     NumericallySingularError,
 )
 
-from conftest import front_fire, random_channel
+from conftest import end_fire, front_fire, random_channel
 
 
 class TestCouplingMatrix:
@@ -490,8 +494,8 @@ class TestHalves:
 
 
 class TestZrCheckedOnce:
-    """ArrayFactors checks the Z_R it builds; a LOS channel built on it does not
-    check it again, and every other channel checks its own."""
+    """ArrayFactors checks the Z_R it builds, once per array, and every channel
+    checks its own Z_R, a LOS channel's included."""
 
     @staticmethod
     def count_symmetric(monkeypatch):
@@ -504,31 +508,29 @@ class TestZrCheckedOnce:
         return calls
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
-    def test_los_channel_on_factors_skips_the_check(self, monkeypatch, gamma):
+    def test_los_channel_checks_its_z_r(self, monkeypatch, gamma):
         calls = self.count_symmetric(monkeypatch)
         s = Scenario(n=6, spacing=0.25, alpha_tx=0.3, alpha_rx=2.0, gamma_loss=gamma)
-        factors = build_los_scenario(s).factors
+        factors = ArrayFactors.of(s)
         assert calls == [(6, 6)]
         los = build_los_scenario(s)
-        assert calls == [(6, 6)] and los.z_r is factors.z_r and los.factors is factors
+        assert calls == [(6, 6)] * 2 and los.z_r is factors.z_r
         hand = ImpedanceChannel(los.z_ds, los.z_dr, los.z_rs, np.array(factors.z_r), s.R)
-        assert calls == [(6, 6), (6, 6)]
-        assert hand.z_r.tobytes() == los.z_r.tobytes() and hand.factors is None
+        assert calls == [(6, 6)] * 3
+        assert hand.z_r.tobytes() == los.z_r.tobytes()
 
     def test_los_channel_still_checks_its_links(self):
         s = Scenario(n=3, spacing=0.25, alpha_tx=0.3, alpha_rx=2.0)
-        factors = ArrayFactors(s)
+        z_r = ArrayFactors.of(s).z_r
         with pytest.raises(InvalidArgumentError, match="z_dr must be finite"):
-            ImpedanceChannel._on_array(factors, np.zeros((1, 1)), np.full((1, 3), np.nan),
-                                       np.ones((3, 1)), s.R)
+            ImpedanceChannel(np.zeros((1, 1)), np.full((1, 3), np.nan), np.ones((3, 1)), z_r, s.R)
         with pytest.raises(InvalidArgumentError, match="inconsistent block dimensions"):
-            ImpedanceChannel._on_array(factors, np.zeros((1, 1)), np.ones((1, 2)),
-                                       np.ones((3, 1)), s.R)
+            ImpedanceChannel(np.zeros((1, 1)), np.ones((1, 2)), np.ones((3, 1)), z_r, s.R)
 
     def test_overflowing_z_r_is_refused_by_array_factors(self):
         # the diagonal R (1 + gamma_loss) overflows to inf; the off-diagonals stay finite
         s = Scenario(n=2, spacing=0.25, alpha_tx=0.0, alpha_rx=np.pi, gamma_loss=10.0, R=1e308)
-        for build in (ArrayFactors, build_los_scenario):
+        for build in (ArrayFactors, ArrayFactors.of, build_los_scenario):
             with pytest.raises(InvalidArgumentError, match="z_r must be finite"):
                 build(s)
 
@@ -706,16 +708,58 @@ class TestOneBlasThread:
         assert run_sweep(spec)[0].array_gain == at_two
 
     def test_direct_closed_forms_do_not_depend_on_the_callers_count(self, caller_at_two):
-        # ignore_mc_gain rounds differently on 2 threads than on 1 when its
-        # factorisation runs on the caller's count
+        # each rounds differently on 2 threads than on 1 where its factorisation
+        # or inverse runs on the caller's count
         s = front_fire(256, 0.5)
-        at_two = (ignore_mc_gain(s), array_gain(s))
+        los = build_los_scenario(s)
+        z_r = np.array(los.z_r)
+        z_r[0, 0] += 0.1 * los.R        # one lossy element: not centrosymmetric, whitened whole
+        hand = ImpedanceChannel(los.z_ds, los.z_dr, los.z_rs, z_r, los.R)
+        small = build_los_scenario(end_fire(3, 0.25))
+        small_hand = ImpedanceChannel(small.z_ds, small.z_dr, small.z_rs, np.array(small.z_r),
+                                      small.R)
+        state = RisState(np.linspace(-30.0, 30.0, 256))
+
+        def bits():
+            ArrayFactors._last = None
+            out = [ignore_mc_gain(s), array_gain(s)]
+            for ch in (los, hand):
+                sol, eff = closed_form_siso(ch), effective_channel(ch)
+                out += [evaluate_channel(ch, state).tobytes(), sol.gain, sol.theta.tobytes(),
+                        sol.x.tobytes(), eff.z_dr.tobytes(), eff.z_rs.tobytes()]
+            return out + [grid_search_phase(small), grid_search_phase(small_hand)]
+        at_two = bits()
         assert caller_at_two() == 2
         channel_module._openblas()[1](1)
-        ArrayFactors._last = None
-        assert (ignore_mc_gain(s), array_gain(s)) == at_two
+        assert bits() == at_two
         ArrayFactors._last = None
         spec = parse_config("N = 256\nspacing = 0.5\nangles = front-fire\n"
                             "methods = IgnoreMC, Decoupled\n")
         rows = {r.method: r.array_gain for r in run_sweep(spec)}
-        assert (rows["IgnoreMC"], rows["Decoupled"]) == at_two
+        assert [rows["IgnoreMC"], rows["Decoupled"]] == at_two[:2]
+
+    def test_scopes_overlapping_across_threads_restore_the_callers_count(self, caller_at_two):
+        # a opens, b opens, a closes, b closes: b keeps one thread after a
+        # closes, and the last to close restores the caller's count
+        step, seen = threading.Barrier(2, timeout=60), {}
+
+        def a():
+            with one_blas_thread():
+                step.wait()
+                step.wait()
+            step.wait()
+
+        def b():
+            step.wait()
+            with one_blas_thread():
+                step.wait()
+                step.wait()
+                seen["b after a closed"] = blas_threads()
+        workers = [threading.Thread(target=f) for f in (a, b)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert seen == {"b after a closed": 1}
+        assert caller_at_two() == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from riscoupling import (
+    ArrayFactors,
     ImpedanceChannel,
     OptimizerConfig,
     RisState,
@@ -685,8 +686,9 @@ class TestReciprocity:
         assert np.all(np.abs(fast.trace - dense.trace) <= 1e-9 * np.abs(dense.trace))
 
     def test_exactly_symmetric_z_r_kept_as_given(self):
-        los = build_los_scenario(Scenario(n=5, spacing=0.2, alpha_tx=0.0, alpha_rx=np.pi))
-        assert los.z_r is los.factors.z_r and not los.z_r.flags.writeable
+        s = Scenario(n=5, spacing=0.2, alpha_tx=0.0, alpha_rx=np.pi)
+        los = build_los_scenario(s)
+        assert los.z_r is ArrayFactors.of(s).z_r and not los.z_r.flags.writeable
 
 
 class TestSeAcceleration:

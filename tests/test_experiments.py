@@ -18,7 +18,6 @@ from riscoupling import (
     RisState,
     Scenario,
     array_gain,
-    baselines,
     build_los_scenario,
     closed_form_siso,
     decoupling,
@@ -28,6 +27,7 @@ from riscoupling import (
     optimize,
 )
 from riscoupling import channel as channel_module
+from riscoupling.channel import blas_threads
 from riscoupling import cli
 from riscoupling.cli import main
 from riscoupling.errors import InvalidArgumentError, NotPSDError, NumericallySingularError
@@ -208,27 +208,27 @@ class TestArraySharing:
     across its angle pairs."""
 
     def test_one_z_r_per_array_per_call(self, monkeypatch):
-        built, channels = [], []
+        built, looked_up = [], []
 
         def counted(n, spacing, R, _original=channel_module.build_coupling_matrix):
             built.append(_original(n, spacing, R))
             return built[-1]
 
-        def recorded(s, _original=build_los_scenario):
-            channels.append((s, _original(s)))
-            return channels[-1][1]
+        def recorded(cls, s, _original=ArrayFactors.of.__func__):
+            looked_up.append((s, _original(cls, s)))
+            return looked_up[-1][1]
         monkeypatch.setattr(channel_module, "build_coupling_matrix", counted)
-        for module in (decoupling, baselines):
-            monkeypatch.setattr(module, "build_los_scenario", recorded)
+        monkeypatch.setattr(ArrayFactors, "of", classmethod(recorded))
         spec = parse_config(SHARED_ARRAYS)
         assert len(run_sweep(spec)) == 24
-        assert len(built) == 4 and len(channels) == 24
-        # every row's channel holds its array's one Z_R, read-only
+        assert len(built) == 4 and len(looked_up) == 24
+        # every row reads its array's one Z_R, read-only (a copy of the list, which
+        # build_los_scenario below appends to)
         by_array = {}
-        for s, ch in channels:
-            by_array.setdefault(s.array, set()).add(id(ch.z_r))
-            assert not ch.z_r.flags.writeable
-            assert ch.z_r.tobytes() == build_los_scenario(s).z_r.tobytes()
+        for s, factors in looked_up[:]:
+            by_array.setdefault(s.array, set()).add(id(factors.z_r))
+            assert not factors.z_r.flags.writeable
+            assert factors.z_r.tobytes() == build_los_scenario(s).z_r.tobytes()
         assert len(by_array) == 4 and all(len(ids) == 1 for ids in by_array.values())
 
     def test_one_factorisation_per_array_per_call(self, monkeypatch):
@@ -238,10 +238,19 @@ class TestArraySharing:
                 calls[_name] += 1
                 return _original(z)
             monkeypatch.setattr(channel_module, name, counted)
-        spec = parse_config(SHARED_ARRAYS)
+        channels = []
+
+        def post_init(ch, _original=ImpedanceChannel.__post_init__):
+            channels.append(ch)
+            _original(ch)
+        monkeypatch.setattr(ImpedanceChannel, "__post_init__", post_init)
+        # the closed-form rows read the steering vectors and the factors, and build no channel
+        spec = parse_config(SHARED_ARRAYS.replace("IgnoreMC", "IgnoreMC, NoCoupling"))
         for sweeps in (1, 2):
-            assert len(run_sweep(spec)) == 24
+            records = run_sweep(spec)
+            assert len(records) == 36 and all(r.flags == () for r in records)
             assert calls == {"psd_inv_sqrt": 4 * sweeps, "_inverse_by_halves": 4 * sweeps}
+        assert channels == []
 
     def test_rows_equal_standalone_gains(self, monkeypatch):
         seen = []
@@ -313,8 +322,8 @@ class TestArraySharing:
         assert calls.count("inverse") == calls.count("inv_sqrt") == 4 + 12
 
 
-# each takes a scenario and finds its array's factors; the functions of a
-# channel take them only as the LOS channel carries them
+# each takes a scenario and reads its array's factors (ArrayFactors.of), the
+# functions of a channel through the LOS channel's Z_R
 FACTOR_USERS = {
     "array_gain": array_gain,
     "ignore_mc_gain": ignore_mc_gain,
@@ -331,18 +340,18 @@ def from_an_empty_slot(user, s):
 
 
 class TestFactorsOfAnotherArray:
-    """The factors build_los_scenario keeps for the last array asked for are
+    """The factors ArrayFactors.of keeps for the last array asked for are
     refused for a scenario of another array, where they would give another
     array's gains (33.9 for 3832.4 in array_gain): the scenario gets its own
-    array's, as from an empty slot, for the callers of build_los_scenario and
-    for the functions of the channel it makes."""
+    array's, as from an empty slot, for the closed forms, build_los_scenario
+    and the functions of the channel it makes."""
 
     @pytest.mark.parametrize("name", FACTOR_USERS)
     @pytest.mark.parametrize("other", [end_fire(8, 0.25), end_fire(4, 0.1),
                                        Scenario(n=8, spacing=0.1, alpha_tx=0.0, alpha_rx=np.pi,
                                                 gamma_loss=0.1)])
     def test_refused(self, name, other):
-        kept = build_los_scenario(other).factors
+        kept = ArrayFactors.of(other)
         kept.inverse, kept.re_inv_sqrt
         s = end_fire(8, 0.1)
         got = repr(FACTOR_USERS[name](s))
@@ -352,7 +361,7 @@ class TestFactorsOfAnotherArray:
     @pytest.mark.parametrize("name", FACTOR_USERS)
     def test_accepted_for_any_angles_of_the_array(self, name):
         s = end_fire(8, 0.1)
-        kept = build_los_scenario(Scenario(n=8, spacing=0.1, alpha_tx=1.0, alpha_rx=0.3)).factors
+        kept = ArrayFactors.of(Scenario(n=8, spacing=0.1, alpha_tx=1.0, alpha_rx=0.3))
         got = repr(FACTOR_USERS[name](s))
         assert ArrayFactors._last is kept
         assert got == from_an_empty_slot(FACTOR_USERS[name], s)
@@ -364,31 +373,24 @@ class TestFactorsOfAnotherArray:
 
 
 class TestChannelCarriesFactors:
-    """A LOS channel carries its array's factors, which build_los_scenario
-    keeps until another array is asked for, and the functions of a channel
-    read them there."""
-
-    def test_los_channel_carries_the_factors_given(self):
-        s = end_fire(8, 0.1)
-        factors = ArrayFactors._last = ArrayFactors(s)
-        assert build_los_scenario(s).factors is factors
-        other = end_fire(8, 0.25)
-        own = build_los_scenario(other).factors
-        assert own is not factors and own.array == other.array
+    """The closed forms and build_los_scenario read an array's factors from
+    ArrayFactors.of, which keeps them until another array is asked for; a LOS
+    channel carries its array's Z_R, and the functions of a channel whiten it."""
 
     def test_scenarios_of_one_array_share_one_factors_object(self):
-        channels = [build_los_scenario(Scenario(n=6, spacing=0.2, alpha_tx=a, alpha_rx=b,
-                                                gamma_dr=g, gamma_rs=1.0 / g, gamma_loss=0.1))
-                    for a, b in [(0.0, np.pi), (0.4, 1.9), (np.pi / 2, 0.0)] for g in (0.5, 1.0)]
-        assert len({id(ch.factors) for ch in channels}) == 1
-        assert all(ch.z_r is channels[0].factors.z_r for ch in channels)
-        assert ArrayFactors._last is channels[0].factors
+        scenarios = [Scenario(n=6, spacing=0.2, alpha_tx=a, alpha_rx=b, gamma_dr=g,
+                              gamma_rs=1.0 / g, gamma_loss=0.1)
+                     for a, b in [(0.0, np.pi), (0.4, 1.9), (np.pi / 2, 0.0)] for g in (0.5, 1.0)]
+        factors = [ArrayFactors.of(s) for s in scenarios]
+        assert len({id(f) for f in factors}) == 1
+        assert all(build_los_scenario(s).z_r is factors[0].z_r for s in scenarios)
+        assert ArrayFactors._last is factors[0]
 
     def test_arrays_asked_for_in_turn_get_their_own_factors(self, monkeypatch):
         a, b = end_fire(8, 0.1), front_fire(6, 0.25, gamma_loss=0.1)
 
         def bits(s):
-            factors = build_los_scenario(s).factors
+            factors = ArrayFactors.of(s)
             return (array_gain(s), ignore_mc_gain(s), factors.z_r.tobytes(),
                     factors.inverse.tobytes(), factors.re_inv_sqrt.tobytes())
         fresh = {s: from_an_empty_slot(bits, s) for s in (a, b)}
@@ -421,14 +423,13 @@ class TestChannelCarriesFactors:
             for i in range(300):
                 s = arrays[(i + offset) % len(arrays)]
                 try:
-                    if (build_los_scenario(s).factors.array != s.array
+                    if (ArrayFactors.of(s).array != s.array
                             or repr(array_gain(s)) != want[s]):
                         wrong.append((offset, i))
                 except Exception as exc:    # as another array's factors would raise
                     wrong.append((offset, i, exc))
 
-        get, put = channel_module._openblas()
-        threads, interval = get(), sys.getswitchinterval()
+        threads, interval = blas_threads(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             workers = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
@@ -438,9 +439,10 @@ class TestChannelCarriesFactors:
                 w.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            put(threads)        # the factorisations' BLAS scopes overlapped across threads
         assert not any(w.is_alive() for w in workers)
         assert wrong == []
+        # the factorisations' BLAS scopes overlapped across threads; the last restored the count
+        assert blas_threads() == threads
 
     def test_closed_form_reuses_the_whitening(self, monkeypatch):
         calls = []
@@ -450,18 +452,17 @@ class TestChannelCarriesFactors:
             return _original(z)
         monkeypatch.setattr(channel_module, "psd_inv_sqrt", counted)
         monkeypatch.setattr(decoupling, "psd_inv_sqrt", counted)
-        build_los_scenario(end_fire(8, 0.1)).factors.re_inv_sqrt
+        ArrayFactors.of(end_fire(8, 0.1)).re_inv_sqrt
         assert calls == [(8, 8)]
         for alpha in (0.0, 0.7, np.pi / 2):
-            s = Scenario(n=8, spacing=0.1, alpha_tx=alpha, alpha_rx=np.pi - alpha)
-            closed_form_siso(build_los_scenario(s))
+            array_gain(Scenario(n=8, spacing=0.1, alpha_tx=alpha, alpha_rx=np.pi - alpha))
         assert calls == [(8, 8)]
 
     @pytest.mark.parametrize("s", [end_fire(8, 0.1), end_fire(5, 0.3, gamma_loss=0.1)])
     def test_hand_built_channel_whitens_its_own_z_r(self, s):
         los = build_los_scenario(s)
-        hand = ImpedanceChannel(los.z_ds, los.z_dr, los.z_rs, los.z_r, los.R)
-        assert hand.factors is None and los.factors is not None
+        hand = ImpedanceChannel(los.z_ds, los.z_dr, los.z_rs, np.array(los.z_r), los.R)
+        assert hand.z_r is not los.z_r
         got, want = closed_form_siso(hand), closed_form_siso(los)
         assert got.gain == want.gain
         assert got.theta.tobytes() == want.theta.tobytes()
