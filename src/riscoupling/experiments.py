@@ -2,7 +2,9 @@
 
 A sweep spec is the Cartesian product of its axes (N, spacing, gamma_loss,
 angle pairs); every (scenario, method) pair yields one record, iterative
-methods one record per sweep.  Scenarios run array by array, the angle pairs
+methods one record per sweep.  A record holds the Scenario it ran, all eight
+fields; the CSV writes N, spacing, the angles and gamma_loss, which are all that
+vary within one sweep.  Scenarios run array by array, the angle pairs
 innermost, so that each array's impedance matrix Z_R is built once per sweep
 and shared, with its O(N^3) factorisations, by its angle pairs (ArrayFactors.of):
 the closed-form rows read the factors and the steering vectors, building no
@@ -100,13 +102,12 @@ class SweepSpec:
 
 @dataclass
 class SweepRecord:
+    """One CSV row: the gain a method reached on a scenario of the sweep, which
+    every row of that scenario shares (Scenario is frozen)."""
+
     scenario_id: str
     method: str
-    n: int
-    spacing: float
-    alpha_tx: float
-    alpha_rx: float
-    gamma_loss: float
+    scenario: Scenario
     sweep_index: int          # -1 for closed-form methods and error rows
     array_gain: float
     wall_time_s: float
@@ -117,8 +118,9 @@ class SweepRecord:
         return 10.0 * np.log10(self.array_gain) if self.array_gain > 0 else float("nan")
 
     def sort_key(self):
-        return (self.scenario_id, self.method, self.n, self.spacing,
-                self.alpha_tx, self.alpha_rx, self.gamma_loss, self.sweep_index)
+        s = self.scenario
+        return (self.scenario_id, self.method, s.n, s.spacing, s.alpha_tx, s.alpha_rx,
+                s.gamma_loss, self.sweep_index)
 
 
 def _angle(token: str) -> tuple[float, float]:
@@ -216,10 +218,8 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
     except RisCouplingError as exc:
         gains, flags = [0.0], (f"error:{type(exc).__name__}",)
     elapsed = time.perf_counter() - t0
-    return [SweepRecord(scenario_id=spec.scenario_id, method=method.value, n=s.n,
-                        spacing=s.spacing, alpha_tx=s.alpha_tx, alpha_rx=s.alpha_rx,
-                        gamma_loss=s.gamma_loss, sweep_index=i if per_sweep else -1,
-                        array_gain=g, wall_time_s=elapsed, flags=flags)
+    return [SweepRecord(spec.scenario_id, method.value, s, i if per_sweep else -1, g,
+                        elapsed, flags)
             for i, g in enumerate(gains)]
 
 
@@ -239,18 +239,14 @@ def write_csv(records: list[SweepRecord], path) -> None:
     """Write records with the fixed header, LF endings, shortest round-trip floats."""
     lines = [CSV_HEADER]
     for r in records:
+        s = r.scenario
         lines.append(",".join([
             r.scenario_id,
             r.method,
-            str(r.n),
-            repr(float(r.spacing)),
-            repr(float(r.alpha_tx)),
-            repr(float(r.alpha_rx)),
-            repr(float(r.gamma_loss)),
+            str(s.n),
+            *(repr(float(v)) for v in (s.spacing, s.alpha_tx, s.alpha_rx, s.gamma_loss)),
             str(r.sweep_index),
-            repr(float(r.array_gain)),
-            repr(float(r.array_gain_db)),
-            repr(float(r.wall_time_s)),
+            *(repr(float(v)) for v in (r.array_gain, r.array_gain_db, r.wall_time_s)),
             ";".join(r.flags),
         ]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

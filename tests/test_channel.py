@@ -1,6 +1,7 @@
 import threading
 import types
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -700,12 +701,24 @@ class TestOneBlasThread:
             channel_module._openblas.cache_clear()
 
     def test_sweep_results_do_not_depend_on_the_callers_count(self, caller_at_two):
-        # a row whose gain the library rounds differently on 2 threads than on 1
-        spec = parse_config("N = 128\nspacing = 0.25\nangles = end-fire\nmethods = IgnoreMC\n")
-        at_two = run_sweep(spec)[0].array_gain
-        channel_module._openblas()[1](1)
-        ArrayFactors._last = None           # or the second sweep reads the first one's factors
-        assert run_sweep(spec)[0].array_gain == at_two
+        # first a row whose gain the library rounds differently on 2 threads than
+        # on 1, then the shipped figure configs and the golden sweep
+        figures = sorted((f for f in (resources.files("riscoupling") / "configs").iterdir()
+                          if f.name.startswith("fig") and f.name.endswith(".cfg")),
+                         key=lambda f: f.name)
+        assert len(figures) >= 6
+        texts = ["N = 128\nspacing = 0.25\nangles = end-fire\nmethods = IgnoreMC\n",
+                 *(f.read_text(encoding="utf-8") for f in figures),
+                 (Path(__file__).parent / "data" / "golden_sweep.cfg").read_text(encoding="utf-8")]
+
+        def rows(spec, threads):
+            channel_module._openblas()[1](threads)
+            ArrayFactors._last = None       # or a sweep reads the one before's factors
+            return [(r.scenario, r.method, r.sweep_index, r.array_gain.hex(), r.flags)
+                    for r in run_sweep(spec)]
+        for text in texts:
+            spec = parse_config(text)
+            assert rows(spec, 1) == rows(spec, 2), spec.scenario_id
 
     def test_direct_closed_forms_do_not_depend_on_the_callers_count(self, caller_at_two):
         # each rounds differently on 2 threads than on 1 where its factorisation

@@ -1,5 +1,6 @@
 import ast
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,9 @@ from riscoupling import (
     build_los_scenario,
     channel_gain,
     evaluate_channel,
+    ignore_mc_gain,
+    naive_elementwise,
+    optimize,
     single_element_gain,
     steering_vector,
 )
@@ -32,6 +36,7 @@ from riscoupling.decoupling import (
 from riscoupling.errors import InvalidArgumentError, NumericallySingularError
 
 from conftest import end_fire, front_fire
+from test_acceptance import random_scenario
 
 # Independent high-precision (60-digit) evaluations of the normalized
 # end-fire array gain formula, computed once with mpmath and frozen.
@@ -66,6 +71,20 @@ def squared_quadratic_form(s, a):
     """(a^H C^{-1} a)^2 with C = Re(Z_R)/R, by a linear solve instead of C^{-1/2}."""
     c = build_los_scenario(s).z_r.real / s.R
     return float(np.real(a.conj() @ np.linalg.solve(c, a))) ** 2
+
+
+def lossless_bound(s):
+    """(|a_rx^T C^-1 a_tx| + sqrt(K_rx K_tx))^2 / 4 with K = a^H C^-1 a and
+    C = Re(Z_R)/R: no lossless reciprocal load, diagonal or not, gains more.
+    None where C is not positive definite or cond(C) > 1e5 in double precision."""
+    c = build_los_scenario(s).z_r.real / s.R
+    eigenvalues = np.linalg.eigvalsh(c)
+    if eigenvalues[0] <= 0 or eigenvalues[-1] > 1e5 * eigenvalues[0]:
+        return None
+    a_rx = steering_vector(s.n, s.spacing, s.alpha_rx)
+    a_tx = steering_vector(s.n, s.spacing, s.alpha_tx)
+    k_rx, k_tx = (float(np.real(a.conj() @ np.linalg.solve(c, a))) for a in (a_rx, a_tx))
+    return (abs(a_rx @ np.linalg.solve(c, a_tx)) + np.sqrt(k_rx * k_tx)) ** 2 / 4.0
 
 
 class TestPowerMatchingNetwork:
@@ -392,6 +411,42 @@ class TestSpecializedGains:
         assert gain == pytest.approx(15.991579362616902, rel=1e-6)
 
 
+class TestLosslessBound:
+    """Every method here loads the array with a lossless reciprocal network, so
+    none gains more than lossless_bound; the decoupling network attains it where
+    cos alpha_tx = +-cos alpha_rx, since its two whitened links are then parallel."""
+
+    def test_no_method_beats_the_bound_on_the_acceptance_fixture(self):
+        rng = np.random.default_rng(6607)          # the C06/C07 draws
+        checked = 0
+        for _ in range(50):
+            s = random_scenario(rng, n_max=16, spacing_range=(0.1, 0.5))
+            bound = lossless_bound(s)
+            if bound is None:
+                continue
+            checked += 1
+            ch, norm = build_los_scenario(s), single_element_gain(s)
+            gains = [optimize(ch, RisState.zeros(s.n)).trace[-1] / norm,
+                     naive_elementwise(ch, RisState.zeros(s.n)).trace[-1] / norm,
+                     ignore_mc_gain(s), array_gain(s)]
+            assert max(gains) <= bound * (1 + 1e-12), (s, gains, bound)
+        assert checked == 41
+
+    @pytest.mark.parametrize("alpha_tx, alpha_rx", [(np.pi / 2, np.pi / 2), (0.0, np.pi),
+                                                    (np.pi / 4, np.pi / 4), (0.3, np.pi - 0.3)],
+                             ids=["front-fire", "end-fire", "oblique", "mirrored"])
+    def test_decoupled_attains_the_bound_at_symmetric_angles(self, alpha_tx, alpha_rx):
+        checked = 0
+        for n in range(1, 17):
+            for d in (0.5, 0.3, 0.25, 0.2, 0.15):
+                s = Scenario(n=n, spacing=d, alpha_tx=alpha_tx, alpha_rx=alpha_rx)
+                bound = lossless_bound(s)
+                if bound is not None:
+                    checked += 1
+                    assert array_gain(s) == pytest.approx(bound, rel=1e-10), s
+        assert checked >= 30
+
+
 class TestLossyCoupling:
     def test_gamma_zero_unchanged(self):
         end = end_fire(4, 0.2, gamma_loss=0.0)
@@ -518,3 +573,20 @@ class TestLayering:
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                        if name not in read]
         assert unused == []
+
+    def test_runtime_imports_are_numpy_and_the_standard_library(self):
+        """pyproject.toml names numpy as the one runtime dependency; scipy,
+        hypothesis and mpmath serve the tests and the benchmark only."""
+        allowed = {"numpy", "riscoupling", *sys.stdlib_module_names}
+        foreign = []
+        for path in sorted(Path(channel.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:   # not relative
+                    modules = [node.module]
+                else:
+                    continue
+                foreign += [f"{path.name}:{node.lineno} {m}" for m in modules
+                            if m.split(".")[0] not in allowed]
+        assert foreign == []

@@ -37,7 +37,7 @@ from riscoupling.elementwise import (
     theta_to_delta_x,
     trust_region_step,
 )
-from riscoupling.errors import ChangeOfVariablesError, InvalidArgumentError
+from riscoupling.errors import ChangeOfVariablesError, DegenerateUpdateError, InvalidArgumentError
 
 from conftest import SLOW_RIDGE, random_channel
 
@@ -238,6 +238,21 @@ class TestApplyUpdate:
         refactor(ctx)
         residual = ctx.z_inv @ (ch.z_r + 1j * np.diag(ctx.x)) - np.eye(6)
         assert np.abs(residual).max() < 1e-9
+
+    def test_zero_denominator_refused_leaving_the_context_unchanged(self):
+        # lossless Z_R = jB at x = 0: g = G_00 = -j (B^-1)_00 is imaginary, so
+        # dx = 1/Im(g) makes the denominator 1 + j dx g exactly zero
+        b = np.array([[2.0, 0.5], [0.5, 3.0]])
+        ch = ImpedanceChannel(np.zeros((1, 1)), np.ones((1, 2)), np.ones((2, 1)), 1j * b, 50.0)
+        ctx = init_context(ch, RisState.zeros(2))
+        g = ctx.column(0)[0]
+        assert g.real == 0.0 and g.imag == pytest.approx(-3.0 / 5.75, rel=1e-15)
+        held = lambda: [ctx.g0, ctx.u, ctx.v, ctx.z_bar, ctx.x]
+        before = [a.copy() for a in held()]
+        with pytest.raises(DegenerateUpdateError, match="element 0"):
+            apply_update(ctx, 0, 1.0 / g.imag)
+        assert ctx.k == 0
+        assert all(np.array_equal(a, b) for a, b in zip(held(), before))
 
 
 class TestDelayedUpdate:

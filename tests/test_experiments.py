@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -187,6 +188,29 @@ methods = ElementWise
         assert records[0].array_gain == 0.0
         assert any(f.startswith("error:") for f in records[0].flags)
 
+    def test_record_fields(self):
+        assert [f.name for f in dataclasses.fields(SweepRecord)] == [
+            "scenario_id", "method", "scenario", "sweep_index", "array_gain", "wall_time_s",
+            "flags"]
+
+    def test_records_carry_their_scenarios(self):
+        # the knobs the CSV does not write as well as those it does
+        spec = parse_config(MINIMAL.replace("Decoupled", "Decoupled, ElementWise")
+                            .replace("end-fire", "end-fire; front-fire")
+                            + "gamma_dr = 0.5\ngamma_rs = 2\nR = 75\ngamma_loss = 0, 0.1\n")
+        scenarios = {(w.gamma_loss, w.alpha_tx): w for w in spec.scenarios()}
+        records = run_sweep(spec)
+        assert len(scenarios) == 4 and len(records) > 8
+        by_scenario = {}
+        for r in records:
+            s = r.scenario
+            want = scenarios[s.gamma_loss, s.alpha_tx]
+            assert dataclasses.astuple(s) == dataclasses.astuple(want)
+            assert (s.gamma_dr, s.gamma_rs, s.R) == (0.5, 2.0, 75.0)
+            by_scenario.setdefault(id(s), set()).add(r.method)
+        # the rows of a scenario share its one object, a row of each method
+        assert sorted(map(sorted, by_scenario.values())) == [["Decoupled", "ElementWise"]] * 4
+
     def test_db_column_consistency(self):
         spec = parse_config(MINIMAL)
         r = run_sweep(spec)[0]
@@ -262,8 +286,7 @@ class TestArraySharing:
             monkeypatch.setattr(experiments, name, recorded)
         records = run_sweep(parse_config(SHARED_ARRAYS))
         for r in records:
-            s = Scenario(n=r.n, spacing=r.spacing, alpha_tx=r.alpha_tx, alpha_rx=r.alpha_rx,
-                         gamma_loss=r.gamma_loss)
+            s = r.scenario
             standalone = array_gain(s) if r.method == "Decoupled" else ignore_mc_gain(s)
             assert r.array_gain == standalone
             assert r.flags == ()
@@ -313,7 +336,7 @@ class TestArraySharing:
         records = run_sweep(parse_config(SHARED_ARRAYS.replace("N = 3", "N = 2, 3")))
         assert len(records) == 48
         for r in records:
-            if r.n == 2:
+            if r.scenario.n == 2:
                 assert r.flags == () and r.array_gain > 0.0
             else:
                 error = "NotPSDError" if r.method == "Decoupled" else "NumericallySingularError"
@@ -501,19 +524,18 @@ class TestWriteCsv:
         assert path.read_text() == CSV_HEADER + "\n"
 
     def test_single_record_two_lines(self, tmp_path):
-        rec = SweepRecord("s", "Decoupled", 4, 0.25, 0.0, np.pi, 0.0, -1, 16.0, 0.1)
+        rec = SweepRecord("s", "Decoupled", end_fire(4, 0.25), -1, 16.0, 0.1)
         path = tmp_path / "one.csv"
         write_csv([rec], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == CSV_HEADER
-        fields = lines[1].split(",")
-        assert fields[1] == "Decoupled"
-        assert float(fields[8]) == 16.0
+        assert lines[1] == ("s,Decoupled,4,0.25,0.0,3.141592653589793,0.0,-1,"
+                            "16.0,12.041199826559248,0.1,")
 
     def test_shortest_round_trip_floats(self, tmp_path):
         gain = 163.08229291828144
-        rec = SweepRecord("s", "Decoupled", 4, 0.25, 0.0, np.pi, 0.0, -1, gain, 0.0)
+        rec = SweepRecord("s", "Decoupled", end_fire(4, 0.25), -1, gain, 0.0)
         path = tmp_path / "rt.csv"
         write_csv([rec], path)
         assert float(path.read_text().splitlines()[1].split(",")[8]) == gain
