@@ -204,8 +204,7 @@ methods = ElementWise
         by_scenario = {}
         for r in records:
             s = r.scenario
-            want = scenarios[s.gamma_loss, s.alpha_tx]
-            assert dataclasses.astuple(s) == dataclasses.astuple(want)
+            assert s == scenarios[s.gamma_loss, s.alpha_tx]     # all eight fields
             assert (s.gamma_dr, s.gamma_rs, s.R) == (0.5, 2.0, 75.0)
             by_scenario.setdefault(id(s), set()).add(r.method)
         # the rows of a scenario share its one object, a row of each method
