@@ -7,7 +7,7 @@ import enum
 
 import numpy as np
 
-from .channel import ArrayFactors, ImpedanceChannel, RisState, Scenario, steering_vector
+from .channel import ArrayFactors, ImpedanceChannel, RisState, Scenario
 from .elementwise import (
     OptimizeResult,
     OptimizerConfig,
@@ -65,8 +65,7 @@ def grid_search_phase(ch: ImpedanceChannel) -> float:
 
 def no_coupling_gain(s: Scenario) -> float:
     """Array gain of the purely theoretical model with Z_R = R I (no coupling, no loss)."""
-    a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
-    a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
+    a_dr, a_rs = s.links
     return float(abs(a_dr @ a_rs) + s.n) ** 2 / 4.0
 
 
@@ -74,6 +73,5 @@ def ignore_mc_gain(s: Scenario) -> float:
     """Array gain when the no-coupling solution (x = 0, i.e. Theta' = -I) is applied blindly
     to the true coupled channel: |R a_DR^T Z_R^{-1} a_RS|^2, Z_R being the loading matrix at
     x = 0, its inverse read from the array's factors (ArrayFactors.of)."""
-    a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
-    a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
+    a_dr, a_rs = s.links
     return float(abs(s.R * (a_dr @ ArrayFactors.of(s).inverse @ a_rs))) ** 2

@@ -88,6 +88,13 @@ class Scenario:
         only in angles or pathloss share it."""
         return (self.n, self.spacing, self.gamma_loss, self.R)
 
+    @property
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a_DR, a_RS): the steering vectors toward the receiver (alpha_rx) and toward the
+        transmitter (alpha_tx), the only place that pairs each link with its angle."""
+        return (steering_vector(self.n, self.spacing, self.alpha_rx),
+                steering_vector(self.n, self.spacing, self.alpha_tx))
+
 
 def _check_args(n, names: str, *values) -> None:
     """A line array's element count n is a positive integer and its values are finite."""
@@ -227,8 +234,7 @@ def build_los_scenario(s: Scenario) -> ImpedanceChannel:
     steering vectors times R.  Z_R, Ohmic loss included, is the read-only Z_R of
     ArrayFactors.of(s), which one array's channels share, and is checked as any Z_R is.
     """
-    a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
-    a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
+    a_dr, a_rs = s.links
     z_dr = np.sqrt(s.gamma_dr) * s.R * a_dr[None, :]
     z_rs = np.sqrt(s.gamma_rs) * s.R * a_rs[:, None]
     return ImpedanceChannel(np.zeros((1, 1)), z_dr, z_rs, ArrayFactors.of(s).z_r, s.R)

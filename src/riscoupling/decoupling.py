@@ -30,7 +30,7 @@ from .channel import (
     loading_matrix,
     psd_inv_sqrt,
     psd_sqrt,
-    steering_vector,
+    one_blas_thread,
 )
 from .errors import InvalidArgumentError, NumericallySingularError
 
@@ -98,12 +98,13 @@ def power_matching_network(z_r: np.ndarray, R: float) -> DecouplingNetwork:
     )
 
 
+@one_blas_thread()
 def transformed_load(net: DecouplingNetwork, state: RisState) -> np.ndarray:
     """Load seen by the array through the network: z22 - z12^T (z11 + j diag(x))^{-1} z12.
 
     z11 + j diag(x) is refused like every RIS loading matrix: a state of the
     wrong length, and a singular or ill-conditioned load (as at x_n = 0 when
-    z11 = 0).
+    z11 = 0).  It is inverted on one BLAS thread, whatever the caller's count.
     """
     return net.z22 - net.z12.T @ checked_inverse(loading_matrix(net.z11, state.x))[0] @ net.z12
 
@@ -193,7 +194,6 @@ def array_gain(s: Scenario) -> float:
             "(closed_form_siso does not check)"
         )
     v = ArrayFactors.of(s).re_inv_sqrt
-    a_dr = steering_vector(s.n, s.spacing, s.alpha_rx)
-    a_rs = steering_vector(s.n, s.spacing, s.alpha_tx)
+    a_dr, a_rs = s.links
     p = (a_dr @ v) * (v @ a_rs) * s.R
     return float(abs(p.sum()) + np.abs(p).sum()) ** 2 / 4.0

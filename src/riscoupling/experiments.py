@@ -227,8 +227,8 @@ def _run_method(spec: SweepSpec, s: Scenario, method: MethodId,
 def run_sweep(spec: SweepSpec, trace_elements: bool = False) -> list[SweepRecord]:
     """Execute every (scenario, method) pair in turn, array by array; records
     are sorted to fix the CSV order.  Only the last array's factors outlive the
-    call (ArrayFactors.of).  BLAS runs on one thread (one_blas_thread),
-    whatever the caller's count."""
+    call (ArrayFactors.of).  One BLAS thread holds for the whole sweep for speed,
+    not for bits: each factorisation opens its own scope (one_blas_thread)."""
     records = [r for s in spec.scenarios() for m in spec.methods
                for r in _run_method(spec, s, m, trace_elements)]
     records.sort(key=SweepRecord.sort_key)

@@ -26,6 +26,7 @@ from riscoupling import (
     power_matching_network,
     spectral_efficiency,
     steering_vector,
+    transformed_load,
 )
 from riscoupling import channel as channel_module
 from riscoupling.channel import (PINV_EIG_FLOOR, X_MAX, _halves, _inverse_by_halves, _whole,
@@ -185,6 +186,34 @@ class TestLosScenario:
         lossless = build_los_scenario(Scenario(n=4, spacing=0.2, alpha_tx=0.0, alpha_rx=np.pi))
         ch = build_los_scenario(s)
         assert np.allclose(ch.z_r - lossless.z_r, 0.1 * 50.0 * np.eye(4))
+
+
+class TestLinks:
+    """Scenario.links pairs a_DR with alpha_rx and a_RS with alpha_tx; the channel reads both."""
+
+    def test_the_two_steering_vectors_bit_for_bit(self):
+        s = Scenario(n=7, spacing=0.3, alpha_tx=0.4, alpha_rx=2.1)
+        a_dr, a_rs = s.links
+        assert a_dr.tobytes() == steering_vector(7, 0.3, 2.1).tobytes()
+        assert a_rs.tobytes() == steering_vector(7, 0.3, 0.4).tobytes()
+
+    def test_corner_steers_the_transmitter_link_broadside(self):
+        a_dr, a_rs = Scenario(n=5, spacing=0.25, alpha_tx=np.pi / 2, alpha_rx=0.0).links
+        assert np.allclose(a_rs, np.ones(5), rtol=0.0, atol=1e-15)
+        assert np.allclose(a_dr, (-1j) ** np.arange(5), rtol=0.0, atol=1e-15)   # end-fire ramp
+
+    def test_swapping_the_angles_swaps_the_links(self):
+        a_dr, a_rs = Scenario(n=6, spacing=0.2, alpha_tx=0.7, alpha_rx=1.9).links
+        b_dr, b_rs = Scenario(n=6, spacing=0.2, alpha_tx=1.9, alpha_rx=0.7).links
+        assert (a_dr.tobytes(), a_rs.tobytes()) == (b_rs.tobytes(), b_dr.tobytes())
+
+    def test_channel_blocks_are_the_scaled_links(self):
+        s = Scenario(n=5, spacing=0.3, alpha_tx=0.4, alpha_rx=2.1, gamma_dr=0.5, gamma_rs=2.0,
+                     R=75.0)
+        a_dr, a_rs = s.links
+        ch = build_los_scenario(s)
+        assert ch.z_dr[0].tobytes() == (np.sqrt(0.5) * 75.0 * a_dr).tobytes()
+        assert ch.z_rs[:, 0].tobytes() == (np.sqrt(2.0) * 75.0 * a_rs).tobytes()
 
 
 class TestEvaluateChannel:
@@ -732,6 +761,11 @@ class TestOneBlasThread:
         small_hand = ImpedanceChannel(small.z_ds, small.z_dr, small.z_rs, np.array(small.z_r),
                                       small.R)
         state = RisState(np.linspace(-30.0, 30.0, 256))
+        rng = np.random.default_rng(28)
+        b = rng.standard_normal((256, 256))
+        matched = power_matching_network(ArrayFactors(end_fire(256, 0.25)).z_r, los.R)
+        dense = DecouplingNetwork(1j * (b + b.T), matched.z12, matched.z22)  # z11^-1 not diagonal
+        dense_state = RisState(10.0 * rng.standard_normal(256))
 
         def bits():
             ArrayFactors._last = None
@@ -740,7 +774,8 @@ class TestOneBlasThread:
                 sol, eff = closed_form_siso(ch), effective_channel(ch)
                 out += [evaluate_channel(ch, state).tobytes(), sol.gain, sol.theta.tobytes(),
                         sol.x.tobytes(), eff.z_dr.tobytes(), eff.z_rs.tobytes()]
-            return out + [grid_search_phase(small), grid_search_phase(small_hand)]
+            return out + [grid_search_phase(small), grid_search_phase(small_hand),
+                          transformed_load(dense, dense_state).tobytes()]
         at_two = bits()
         assert caller_at_two() == 2
         channel_module._openblas()[1](1)

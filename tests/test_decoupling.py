@@ -497,8 +497,9 @@ class TestLayering:
         assert elementwise.X_MAX is decoupling.X_MAX is channel.X_MAX
         assert elementwise.PI_DEAD_ZONE is decoupling.PI_DEAD_ZONE is channel.PI_DEAD_ZONE
 
-    def test_only_array_factors_builds_z_r(self):
-        """Inside the package Z_R is built in one place, so each array has one."""
+    @staticmethod
+    def _callers(name):
+        """The scope (module.Class.function) of every call to name inside the package."""
         callers = []
 
         def visit(node, scope):
@@ -508,13 +509,22 @@ class TestLayering:
                     continue
                 if isinstance(child, ast.Call):
                     func = child.func
-                    if getattr(func, "id", getattr(func, "attr", None)) == "build_coupling_matrix":
+                    if getattr(func, "id", getattr(func, "attr", None)) == name:
                         callers.append(scope)
                 visit(child, scope)
 
         for path in sorted(Path(channel.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-        assert callers == ["channel.ArrayFactors.__init__"]
+        return callers
+
+    def test_only_array_factors_builds_z_r(self):
+        """Inside the package Z_R is built in one place, so each array has one."""
+        assert self._callers("build_coupling_matrix") == ["channel.ArrayFactors.__init__"]
+
+    def test_only_scenario_links_steers(self):
+        """Which angle steers which link is stated in one place: the channel and the
+        closed forms read both steering vectors from Scenario.links."""
+        assert self._callers("steering_vector") == ["channel.Scenario.links"] * 2
 
     def test_dense_linear_algebra_only_in_channel(self):
         """channel.py binds numpy's LAPACK gufuncs once; every other module
